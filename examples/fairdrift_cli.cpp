@@ -80,7 +80,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -97,19 +96,17 @@
 #include "data/weights_io.h"
 #include "data/split.h"
 #include "datagen/realworld.h"
-#include "net/frame.h"
-#include "net/socket.h"
 #include "serve/audit/audit_log.h"
 #include "serve/audit/replay.h"
 #include "serve/fleet/fleet.h"
 #include "serve/fleet/health.h"
 #include "serve/fleet/watcher.h"
 #include "serve/net/remote_fleet.h"
+#include "serve/net/router.h"
 #include "serve/net/shard_daemon.h"
 #include "serve/net/wire.h"
 #include "serve/server.h"
 #include "serve/snapshot_io.h"
-#include "serve/trace/metrics_registry.h"
 #include "serve/trace/trace_log.h"
 #include "serve/snapshot_manifest.h"
 #include "util/cli.h"
@@ -952,6 +949,17 @@ std::vector<std::string> SplitCommaList(const std::string& s) {
   return parts;
 }
 
+/// Serves until --run-secs elapse (forever without it): the shard and
+/// route processes live until killed.
+void ParkForRunSecs(const CliFlags& flags) {
+  long run_secs = flags.GetInt("run-secs", 0);
+  auto started = std::chrono::steady_clock::now();
+  while (run_secs <= 0 || std::chrono::steady_clock::now() - started <
+                              std::chrono::seconds(run_secs)) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+}
+
 /// `shard --listen PORT (--in SNAP | --state-dir DIR)`: one ScoringServer
 /// behind the wire. With --state-dir, a directory holding a previously
 /// pushed chunked snapshot is preferred over --in, so a restarted daemon
@@ -1005,258 +1013,9 @@ int CmdShard(const CliFlags& flags) {
                   : "");
   std::fflush(stdout);
 
-  long run_secs = flags.GetInt("run-secs", 0);
-  auto started = std::chrono::steady_clock::now();
-  for (;;) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(100));
-    if (run_secs > 0 && std::chrono::steady_clock::now() - started >=
-                            std::chrono::seconds(run_secs)) {
-      break;
-    }
-  }
+  ParkForRunSecs(flags);
   daemon.value()->Stop();
   return 0;
-}
-
-/// Element-wise merge of every reachable daemon's ServerStats::View into
-/// one wire view: counters summed, histograms merged bucket-wise (with
-/// bucket-count validation), percentiles recomputed from the merged
-/// latency histogram — never averaged per-shard.
-ServerStats::View MergeRemoteStatsViews(net::RemoteFleet* fleet) {
-  ServerStats::View merged;
-  double batch_size_sum = 0.0;
-  for (size_t s = 0; s < fleet->num_shards(); ++s) {
-    Result<ServerStats::View> remote = fleet->shard_client(s)->Stats();
-    if (!remote.ok()) continue;
-    const ServerStats::View& sv = remote.value();
-    merged.submitted += sv.submitted;
-    merged.completed += sv.completed;
-    merged.shed_admission += sv.shed_admission;
-    merged.shed_deadline += sv.shed_deadline;
-    merged.invalid += sv.invalid;
-    merged.batches += sv.batches;
-    merged.snapshot_swaps += sv.snapshot_swaps;
-    batch_size_sum += sv.mean_batch_size * static_cast<double>(sv.batches);
-    merged.ewma_batch_latency_us =
-        std::max(merged.ewma_batch_latency_us, sv.ewma_batch_latency_us);
-    merged.density_checked += sv.density_checked;
-    merged.density_outliers += sv.density_outliers;
-    merged.ewma_outlier_rate =
-        std::max(merged.ewma_outlier_rate, sv.ewma_outlier_rate);
-    merged.audit_windows += sv.audit_windows;
-    merged.audit_breaches += sv.audit_breaches;
-    merged.audit_alerts_raised += sv.audit_alerts_raised;
-    merged.audit_alert_active |= sv.audit_alert_active;
-    if (sv.audit_has_metrics) {
-      merged.audit_has_metrics = true;
-      merged.audit_last_di_star = sv.audit_last_di_star;
-      merged.audit_last_spd = sv.audit_last_spd;
-    }
-    if (merged.batch_size_hist.empty()) {
-      merged.batch_size_hist = sv.batch_size_hist;
-    } else {
-      (void)ServerStats::MergeHistogramInto(&merged.batch_size_hist,
-                                            sv.batch_size_hist);
-    }
-    if (merged.latency_hist.empty()) {
-      merged.latency_hist = sv.latency_hist;
-    } else {
-      (void)ServerStats::MergeHistogramInto(&merged.latency_hist,
-                                            sv.latency_hist);
-    }
-    merged.trace_sampled += sv.trace_sampled;
-    merged.trace_append_failures += sv.trace_append_failures;
-    for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-      if (merged.stage_hist[st].empty()) {
-        merged.stage_hist[st] = sv.stage_hist[st];
-      } else {
-        (void)ServerStats::MergeHistogramInto(&merged.stage_hist[st],
-                                              sv.stage_hist[st]);
-      }
-    }
-  }
-  if (merged.batches > 0) {
-    merged.mean_batch_size =
-        batch_size_sum / static_cast<double>(merged.batches);
-  }
-  if (!merged.latency_hist.empty()) {
-    merged.p50_latency_us =
-        ServerStats::PercentileUsFromHist(merged.latency_hist, 0.50);
-    merged.p95_latency_us =
-        ServerStats::PercentileUsFromHist(merged.latency_hist, 0.95);
-    merged.p99_latency_us =
-        ServerStats::PercentileUsFromHist(merged.latency_hist, 0.99);
-  }
-  for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-    merged.stage_p99_us[st] =
-        ServerStats::PercentileUsFromHist(merged.stage_hist[st], 0.99);
-  }
-  return merged;
-}
-
-/// The frontend router process's push staging area. Unlike a shard
-/// daemon the router keeps no chunk store of its own, so it asks the
-/// pusher for every chunk; the incremental hop is router -> shards,
-/// where each daemon's manifest diff keeps unchanged chunks local.
-struct RouterPushState {
-  std::mutex mu;
-  bool valid = false;
-  SnapshotManifest manifest;
-  std::map<std::string, std::string> chunks;
-};
-
-net::Frame RouterErrorFrame(const Status& error) {
-  BinaryWriter w;
-  w.WriteU8(static_cast<uint8_t>(error.code()));
-  w.WriteString(error.message());
-  return net::Frame{net::FrameType::kError, std::move(w).TakeBuffer()};
-}
-
-net::Frame RouterHandleFrame(const net::Frame& frame, net::RemoteFleet* fleet,
-                             RouterPushState* push) {
-  switch (frame.type) {
-    case net::FrameType::kScoreBatch: {
-      BinaryReader r(frame.payload);
-      Result<net::WireScoreRequest> request =
-          net::DeserializeScoreRequest(&r);
-      if (!request.ok()) return RouterErrorFrame(request.status());
-      Result<std::vector<net::WireRowOutcome>> outcomes = fleet->ScoreBatch(
-          request.value().rows, request.value().width,
-          std::chrono::nanoseconds(request.value().deadline_ns));
-      if (!outcomes.ok()) return RouterErrorFrame(outcomes.status());
-      BinaryWriter w;
-      net::SerializeRowOutcomes(outcomes.value(), &w);
-      return net::Frame{net::FrameType::kScoreBatchReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kHealthProbe: {
-      FleetStatsView stats = fleet->stats();
-      net::WireHealthProbe probe;
-      probe.completed = stats.completed;
-      for (size_t depth : stats.queue_depths) probe.queue_depth += depth;
-      probe.snapshot_version = stats.min_snapshot_version;
-      BinaryWriter w;
-      net::SerializeHealthProbe(probe, &w);
-      return net::Frame{net::FrameType::kHealthProbeReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kStatsSnapshot: {
-      BinaryWriter w;
-      net::SerializeStatsView(MergeRemoteStatsViews(fleet), &w);
-      return net::Frame{net::FrameType::kStatsSnapshotReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kMetrics: {
-      // The router exposes the same fairdrift_* family set the daemons
-      // expose, rendered from the fleet-merged view — a router scrape
-      // equals the sum/merge of the per-daemon scrapes — plus its own
-      // routing-lifecycle counters.
-      std::string text;
-      MetricsEmitter emitter(&text);
-      EmitStatsViewMetrics(MergeRemoteStatsViews(fleet), &emitter);
-      FleetStatsView fv = fleet->stats();
-      emitter.Counter("fairdrift_router_ejections_total",
-                      "Shards ejected from routing", fv.ejections);
-      emitter.Counter("fairdrift_router_readmissions_total",
-                      "Ejected shards returned to routing", fv.readmissions);
-      emitter.Counter("fairdrift_router_rolling_updates_total",
-                      "Rolling pushes relayed", fv.rolling_updates);
-      emitter.Counter("fairdrift_router_rollbacks_total",
-                      "Rolling pushes rolled back", fv.rollbacks);
-      emitter.Gauge("fairdrift_router_shards",
-                    "Shard daemons behind this router",
-                    static_cast<double>(fv.num_shards));
-      return net::Frame{net::FrameType::kMetricsReply, std::move(text)};
-    }
-    case net::FrameType::kPushManifest: {
-      BinaryReader r(frame.payload);
-      Result<SnapshotManifest> manifest = DeserializeManifest(&r);
-      if (!manifest.ok()) return RouterErrorFrame(manifest.status());
-      std::lock_guard<std::mutex> lock(push->mu);
-      push->manifest = std::move(manifest).value();
-      push->chunks.clear();
-      push->valid = true;
-      BinaryWriter w;
-      w.WriteU64(push->manifest.chunks.size());
-      for (const SnapshotChunkInfo& info : push->manifest.chunks) {
-        w.WriteString(info.name);
-      }
-      return net::Frame{net::FrameType::kPushManifestReply,
-                        std::move(w).TakeBuffer()};
-    }
-    case net::FrameType::kPushChunk: {
-      BinaryReader r(frame.payload);
-      Result<std::string> name = r.ReadString();
-      if (!name.ok()) return RouterErrorFrame(name.status());
-      Result<std::string> bytes = r.ReadString();
-      if (!bytes.ok()) return RouterErrorFrame(bytes.status());
-      std::lock_guard<std::mutex> lock(push->mu);
-      if (!push->valid) {
-        return RouterErrorFrame(Status::FailedPrecondition(
-            "push chunk without a pending manifest"));
-      }
-      size_t index = push->manifest.FindChunk(name.value());
-      if (index == static_cast<size_t>(-1)) {
-        return RouterErrorFrame(Status::InvalidArgument(
-            "chunk '" + name.value() + "' is not in the pending manifest"));
-      }
-      const SnapshotChunkInfo& info = push->manifest.chunks[index];
-      if (bytes.value().size() != info.size ||
-          Fnv1aHash(bytes.value().data(), bytes.value().size()) !=
-              info.checksum) {
-        return RouterErrorFrame(Status::DataLoss(
-            "chunk '" + name.value() + "' does not match its manifest entry"));
-      }
-      push->chunks[info.name] = std::move(bytes).value();
-      return net::Frame{net::FrameType::kPushChunkReply, std::string()};
-    }
-    case net::FrameType::kPushCommit: {
-      ChunkedSnapshot chunked;
-      {
-        std::lock_guard<std::mutex> lock(push->mu);
-        if (!push->valid) {
-          return RouterErrorFrame(Status::FailedPrecondition(
-              "push commit without a pending manifest"));
-        }
-        chunked.manifest = push->manifest;
-        for (const SnapshotChunkInfo& info : push->manifest.chunks) {
-          auto staged = push->chunks.find(info.name);
-          if (staged == push->chunks.end()) {
-            return RouterErrorFrame(Status::FailedPrecondition(
-                "chunk '" + info.name + "' was never pushed"));
-          }
-          chunked.chunks.push_back({info.name, staged->second});
-        }
-        push->valid = false;
-        push->chunks.clear();
-      }
-      Result<RollingUpdateReport> rolled = fleet->PushRolling(chunked);
-      if (!rolled.ok()) return RouterErrorFrame(rolled.status());
-      if (rolled.value().state == RolloutState::kRolledBack) {
-        return RouterErrorFrame(Status::Unavailable(
-            "rolling push rolled back: " + rolled.value().failure));
-      }
-      // Every daemon stamps its own process-local version; report the
-      // fleet's minimum so the pusher sees the slowest shard's floor.
-      uint64_t version = 0;
-      for (size_t s = 0; s < fleet->num_shards(); ++s) {
-        Result<net::WireHealthProbe> probe = fleet->shard_client(s)->Probe();
-        if (!probe.ok()) continue;
-        uint64_t v = probe.value().snapshot_version;
-        if (version == 0 || v < version) version = v;
-      }
-      BinaryWriter w;
-      w.WriteU64(version);
-      w.WriteU8(0);
-      w.WriteString(std::string());
-      return net::Frame{net::FrameType::kPushCommitReply,
-                        std::move(w).TakeBuffer()};
-    }
-    default:
-      return RouterErrorFrame(Status::InvalidArgument(
-          std::string("router cannot serve frame type ") +
-          net::FrameTypeName(frame.type)));
-  }
 }
 
 /// `route --listen PORT --connect h:p,h:p`: the frontend router process.
@@ -1284,87 +1043,35 @@ int CmdRoute(const CliFlags& flags) {
       std::chrono::milliseconds(flags.GetInt("probe-ms", 100));
   options.io_timeout =
       std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 5000));
-  Result<std::unique_ptr<net::RemoteFleet>> fleet =
-      net::RemoteFleet::Connect(addresses, options);
-  if (!fleet.ok()) {
-    std::fprintf(stderr, "%s\n", fleet.status().ToString().c_str());
-    return 1;
-  }
   std::string host = flags.GetString("host", "127.0.0.1");
-  Result<net::TcpListener> listener = net::TcpListener::Listen(
-      host, static_cast<uint16_t>(flags.GetInt("listen", 0)));
-  if (!listener.ok()) {
-    std::fprintf(stderr, "%s\n", listener.status().ToString().c_str());
+  Result<std::unique_ptr<net::Router>> router = net::Router::Start(
+      host, static_cast<uint16_t>(flags.GetInt("listen", 0)), addresses,
+      options);
+  if (!router.ok()) {
+    std::fprintf(stderr, "%s\n", router.status().ToString().c_str());
     return 1;
   }
   std::printf("router listening on %s:%u over %zu shard(s), %s routing\n",
-              host.c_str(), listener.value().port(), addresses.size(),
+              host.c_str(), router.value()->port(), addresses.size(),
               FleetRoutingPolicyName(options.routing));
   std::fflush(stdout);
 
-  RouterPushState push;
-  std::atomic<bool> stop{false};
-  // One handler thread per live client; `done` flips when the handler
-  // exits so the accept loop can reap (join) it instead of holding a
-  // joinable pthread per client the router has ever served.
-  struct RouterConn {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::vector<RouterConn> conns;
-  net::RemoteFleet* fleet_ptr = fleet.value().get();
-  std::chrono::milliseconds io = options.io_timeout;
-
-  long run_secs = flags.GetInt("run-secs", 0);
-  auto started = std::chrono::steady_clock::now();
-  while (!stop.load()) {
-    if (run_secs > 0 && std::chrono::steady_clock::now() - started >=
-                            std::chrono::seconds(run_secs)) {
-      stop.store(true);
-      break;
-    }
-    for (auto it = conns.begin(); it != conns.end();) {
-      if (it->done->load(std::memory_order_acquire)) {
-        it->thread.join();
-        it = conns.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    Result<net::TcpConnection> accepted =
-        listener.value().Accept(std::chrono::milliseconds(50));
-    if (!accepted.ok()) continue;
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    conns.push_back(RouterConn{
-        std::thread(
-            [&stop, &push, fleet_ptr, io, done](net::TcpConnection conn) {
-              while (!stop.load()) {
-                if (!conn.WaitReadable(std::chrono::milliseconds(50))) {
-                  continue;
-                }
-                Result<net::Frame> frame = net::ReadFrame(conn, io);
-                if (!frame.ok()) {
-                  (void)net::WriteErrorFrame(conn, frame.status(), io);
-                  break;
-                }
-                net::Frame reply =
-                    RouterHandleFrame(frame.value(), fleet_ptr, &push);
-                if (!net::WriteFrame(conn, reply.type, reply.payload, io)
-                         .ok()) {
-                  break;
-                }
-              }
-              conn.Close();
-              done->store(true, std::memory_order_release);
-            },
-            std::move(accepted).value()),
-        done});
-  }
-  for (RouterConn& c : conns) {
-    if (c.thread.joinable()) c.thread.join();
-  }
-  fleet.value()->Stop();
+  ParkForRunSecs(flags);
+  router.value()->Stop();
   return 0;
+}
+
+/// A client for `--connect HOST:PORT` (a shard daemon or a router) with
+/// the `--io-timeout-ms` RPC deadline (default 30 s).
+Result<std::unique_ptr<net::RemoteShardClient>> ClientFromFlags(
+    const CliFlags& flags) {
+  std::string host;
+  uint16_t port = 0;
+  FAIRDRIFT_RETURN_IF_ERROR(
+      net::ParseHostPort(flags.GetString("connect", ""), &host, &port));
+  return std::make_unique<net::RemoteShardClient>(
+      host, port,
+      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
 }
 
 /// `push --connect HOST:PORT --in SNAP`: incremental snapshot push. The
@@ -1378,11 +1085,10 @@ int CmdNetPush(const CliFlags& flags) {
     std::fprintf(stderr, "push needs --connect HOST:PORT and --in FILE\n");
     return 1;
   }
-  std::string host;
-  uint16_t port = 0;
-  Status parsed = net::ParseHostPort(address, &host, &port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
+  Result<std::unique_ptr<net::RemoteShardClient>> client =
+      ClientFromFlags(flags);
+  if (!client.ok()) {
+    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
   Result<std::shared_ptr<const ModelSnapshot>> snapshot = LoadSnapshot(path);
@@ -1395,45 +1101,20 @@ int CmdNetPush(const CliFlags& flags) {
     std::fprintf(stderr, "%s\n", chunked.status().ToString().c_str());
     return 1;
   }
-  net::RemoteShardClient client(
-      host, port,
-      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
-  Result<std::vector<std::string>> needed =
-      client.PushManifest(chunked.value().manifest);
-  if (!needed.ok()) {
-    std::fprintf(stderr, "%s\n", needed.status().ToString().c_str());
+  Result<net::RemoteShardClient::PushReply> pushed =
+      client.value()->Push(chunked.value());
+  if (!pushed.ok()) {
+    std::fprintf(stderr, "%s\n", pushed.status().ToString().c_str());
     return 1;
   }
-  uint64_t bytes_sent = 0;
-  for (const std::string& name : needed.value()) {
-    size_t index = chunked.value().manifest.FindChunk(name);
-    if (index == static_cast<size_t>(-1)) {
-      std::fprintf(stderr, "receiver requested unknown chunk '%s'\n",
-                   name.c_str());
-      return 1;
-    }
-    const SnapshotPayloadChunk& chunk = chunked.value().chunks[index];
-    Status pushed = client.PushChunk(chunk.name, chunk.bytes);
-    if (!pushed.ok()) {
-      std::fprintf(stderr, "%s\n", pushed.ToString().c_str());
-      return 1;
-    }
-    bytes_sent += chunk.bytes.size();
-  }
-  Result<net::RemoteShardClient::CommitReply> commit = client.PushCommit();
-  if (!commit.ok()) {
-    std::fprintf(stderr, "%s\n", commit.status().ToString().c_str());
-    return 1;
-  }
+  const net::RemoteShardClient::PushReply& r = pushed.value();
   std::printf("pushed %zu/%zu chunk(s), %llu payload byte(s); remote "
               "snapshot_version=%llu%s%s%s\n",
-              needed.value().size(), chunked.value().chunks.size(),
-              static_cast<unsigned long long>(bytes_sent),
-              static_cast<unsigned long long>(
-                  commit.value().snapshot_version),
-              commit.value().degraded ? " (degraded)" : "",
-              commit.value().note.empty() ? "" : " — ",
-              commit.value().note.c_str());
+              r.chunks_sent, chunked.value().chunks.size(),
+              static_cast<unsigned long long>(r.bytes_sent),
+              static_cast<unsigned long long>(r.commit.snapshot_version),
+              r.commit.degraded ? " (degraded)" : "",
+              r.commit.note.empty() ? "" : " — ", r.commit.note.c_str());
   return 0;
 }
 
@@ -1450,11 +1131,10 @@ int CmdNetScore(const CliFlags& flags) {
                  "snapshot whose schema generates the request rows)\n");
     return 1;
   }
-  std::string host;
-  uint16_t port = 0;
-  Status parsed = net::ParseHostPort(address, &host, &port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
+  Result<std::unique_ptr<net::RemoteShardClient>> client =
+      ClientFromFlags(flags);
+  if (!client.ok()) {
+    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
   SnapshotLoadMode mode = flags.GetBool("allow-partial", false)
@@ -1479,11 +1159,8 @@ int CmdNetScore(const CliFlags& flags) {
       request.rows.push_back(requests.At(i, j));
     }
   }
-  net::RemoteShardClient client(
-      host, port,
-      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
   Result<std::vector<net::WireRowOutcome>> outcomes =
-      client.ScoreBatch(request);
+      client.value()->ScoreBatch(request);
   if (!outcomes.ok()) {
     std::fprintf(stderr, "%s\n", outcomes.status().ToString().c_str());
     return 1;
@@ -1516,17 +1193,13 @@ int CmdMetrics(const CliFlags& flags) {
     std::fprintf(stderr, "metrics needs --connect HOST:PORT\n");
     return 1;
   }
-  std::string host;
-  uint16_t port = 0;
-  Status parsed = net::ParseHostPort(address, &host, &port);
-  if (!parsed.ok()) {
-    std::fprintf(stderr, "%s\n", parsed.ToString().c_str());
+  Result<std::unique_ptr<net::RemoteShardClient>> client =
+      ClientFromFlags(flags);
+  if (!client.ok()) {
+    std::fprintf(stderr, "%s\n", client.status().ToString().c_str());
     return 1;
   }
-  net::RemoteShardClient client(
-      host, port,
-      std::chrono::milliseconds(flags.GetInt("io-timeout-ms", 30000)));
-  Result<std::string> text = client.Metrics();
+  Result<std::string> text = client.value()->Metrics();
   if (!text.ok()) {
     std::fprintf(stderr, "%s\n", text.status().ToString().c_str());
     return 1;

@@ -173,13 +173,17 @@ Result<Frame> ReadFrame(TcpConnection& conn, std::chrono::milliseconds timeout,
   return frame;
 }
 
-Status WriteErrorFrame(TcpConnection& conn, const Status& error,
-                       std::chrono::milliseconds timeout) {
+Frame ErrorFrame(const Status& error) {
   BinaryWriter w;
   w.WriteU8(static_cast<uint8_t>(error.code()));
   w.WriteString(error.message());
-  return WriteFrame(conn, FrameType::kError, std::move(w).TakeBuffer(),
-                    timeout);
+  return Frame{FrameType::kError, std::move(w).TakeBuffer()};
+}
+
+Status WriteErrorFrame(TcpConnection& conn, const Status& error,
+                       std::chrono::milliseconds timeout) {
+  Frame frame = ErrorFrame(error);
+  return WriteFrame(conn, frame.type, frame.payload, timeout);
 }
 
 Status StatusFromErrorPayload(const std::string& payload) {

@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <utility>
 
-#include <thread>
-
 #include "serve/server_stats.h"
 #include "util/binary_io.h"
 #include "util/fault.h"
 #include "util/parallel.h"
-#include "util/rng.h"
 #include "util/string_util.h"
-#include "util/timer.h"
 
 namespace fairdrift {
 
@@ -52,16 +48,6 @@ Result<FleetRoutingPolicy> ParseFleetRoutingPolicy(const std::string& name) {
   }
   return Status::InvalidArgument("unknown routing policy '" + name +
                                  "' (want rr|least|hash)");
-}
-
-const char* RolloutStateName(RolloutState state) {
-  switch (state) {
-    case RolloutState::kCommitted:
-      return "committed";
-    case RolloutState::kRolledBack:
-      return "rolled-back";
-  }
-  return "?";
 }
 
 ShardRouter::ShardRouter(FleetRoutingPolicy policy, size_t num_shards)
@@ -176,11 +162,10 @@ Result<std::unique_ptr<ScoringFleet>> ScoringFleet::Create(
 
 ScoringFleet::ScoringFleet(const FleetOptions& options)
     : options_(options),
-      draining_(new std::atomic<bool>[options.num_shards]),
       ejected_(new std::atomic<bool>[options.num_shards]),
-      router_(options.routing, options.num_shards) {
+      router_(options.routing, options.num_shards),
+      rollout_(options.num_shards) {
   for (size_t s = 0; s < options.num_shards; ++s) {
-    draining_[s].store(false, std::memory_order_relaxed);
     ejected_[s].store(false, std::memory_order_relaxed);
   }
 }
@@ -226,11 +211,12 @@ Status ScoringFleet::UpdateSnapshot(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("UpdateSnapshot: null snapshot");
   }
-  std::lock_guard<std::mutex> lock(update_mu_);
-  for (size_t s = 0; s < servers_.size(); ++s) {
-    FAIRDRIFT_RETURN_IF_ERROR(shard_ref(s)->UpdateSnapshot(snapshot));
-  }
-  return Status::OK();
+  return rollout_.Exclusive([&] {
+    for (size_t s = 0; s < servers_.size(); ++s) {
+      FAIRDRIFT_RETURN_IF_ERROR(shard_ref(s)->UpdateSnapshot(snapshot));
+    }
+    return Status::OK();
+  });
 }
 
 Result<RollingUpdateReport> ScoringFleet::RollingUpdate(
@@ -239,135 +225,39 @@ Result<RollingUpdateReport> ScoringFleet::RollingUpdate(
   if (snapshot == nullptr) {
     return Status::InvalidArgument("RollingUpdate: null snapshot");
   }
-  if (options.max_attempts_per_shard == 0) {
-    return Status::InvalidArgument("RollingUpdate: zero attempts per shard");
-  }
-  std::lock_guard<std::mutex> lock(update_mu_);
-  RollingUpdateReport report;
-  report.shard_stall_ms.reserve(servers_.size());
-  report.shards.reserve(servers_.size());
   // Each shard's pre-rollout snapshot, captured so a rollback restores
-  // exactly what that shard was serving (shards can disagree when a
-  // previous rollout was aborted with rollback disabled).
+  // exactly what that shard was serving.
   std::vector<std::shared_ptr<const ModelSnapshot>> prior(servers_.size());
-  Rng jitter_rng(options.backoff_seed);
-
-  size_t failed_shard = servers_.size();
-  for (size_t s = 0; s < servers_.size() && failed_shard == servers_.size();
-       ++s) {
-    ShardRolloutReport shard_report;
-    shard_report.shard = s;
+  // The shard is already out of rotation; wait for what it admitted to
+  // finish scoring against the current snapshot. On a 1-shard fleet the
+  // router keeps feeding the shard, so the barrier only waits out the
+  // in-flight batches (per-batch isolation still gives every request
+  // one consistent version).
+  const bool require_empty_queue = servers_.size() > 1;
+  auto apply = [&](size_t s) -> Status {
     std::shared_ptr<ScoringServer> server = shard_ref(s);
     prior[s] = server->CurrentSnapshot();
-    std::chrono::nanoseconds backoff = options.initial_backoff;
-    for (size_t attempt = 1; attempt <= options.max_attempts_per_shard;
-         ++attempt) {
-      shard_report.attempts = attempt;
-      ++report.total_attempts;
-      // Take the shard out of rotation, then wait for what it already
-      // admitted to finish scoring against the current snapshot. On a
-      // 1-shard fleet the router keeps feeding the shard, so the barrier
-      // only waits out the in-flight batches (per-batch isolation still
-      // gives every request one consistent version).
-      draining_[s].store(true, std::memory_order_release);
-      WallTimer stall;
-      Status attempted =
-          server->Quiesce(options.drain_timeout,
-                          /*require_empty_queue=*/servers_.size() > 1);
-      if (attempted.ok()) {
-        // Fault site: the swap itself fails (e.g. the shard rejects the
-        // snapshot) — retried like a drain stall.
-        if (FAULT_POINT_ARG("fleet.swap", s)) {
-          attempted = Status::Unavailable(
-              "RollingUpdate: snapshot swap failed (injected fault: "
-              "fleet.swap)");
-        } else {
-          attempted = server->UpdateSnapshot(snapshot);
-        }
-      }
-      // Between attempts (and on every exit path) the shard re-enters
-      // rotation — a stalled rollout must never leave it routed around.
-      draining_[s].store(false, std::memory_order_release);
-      if (attempted.ok()) {
-        shard_report.updated = true;
-        shard_report.stall_ms = stall.ElapsedMillis();
-        break;
-      }
-      shard_report.last_error = attempted.message();
-      if (attempt == options.max_attempts_per_shard) {
-        failed_shard = s;
-        break;
-      }
-      // Exponential backoff with deterministic jitter: the shard serves
-      // traffic while the backlog that stalled the barrier drains.
-      double factor =
-          1.0 + options.backoff_jitter * (2.0 * jitter_rng.Uniform() - 1.0);
-      if (factor < 0.0) factor = 0.0;
-      auto wait = std::chrono::nanoseconds(static_cast<int64_t>(
-          static_cast<double>(backoff.count()) * factor));
-      if (wait.count() > 0) std::this_thread::sleep_for(wait);
-      backoff = std::chrono::nanoseconds(static_cast<int64_t>(
-          static_cast<double>(backoff.count()) * options.backoff_multiplier));
+    FAIRDRIFT_RETURN_IF_ERROR(
+        server->Quiesce(options.drain_timeout, require_empty_queue));
+    // Fault site: the swap itself fails (e.g. the shard rejects the
+    // snapshot) — retried like a drain stall.
+    if (FAULT_POINT_ARG("fleet.swap", s)) {
+      return Status::Unavailable(
+          "RollingUpdate: snapshot swap failed (injected fault: "
+          "fleet.swap)");
     }
-    if (shard_report.updated) {
-      report.shard_stall_ms.push_back(shard_report.stall_ms);
-      report.max_stall_ms =
-          std::max(report.max_stall_ms, shard_report.stall_ms);
-      ++report.shards_updated;
-    }
-    report.shards.push_back(std::move(shard_report));
-  }
-
-  if (failed_shard == servers_.size()) {
-    rolling_updates_.fetch_add(1, std::memory_order_relaxed);
-    return report;
-  }
-
-  report.failure = StrFormat(
-      "RollingUpdate: shard %zu did not drain within the barrier timeout "
-      "after %zu attempts (%zu of %zu shards already updated)",
-      failed_shard, options.max_attempts_per_shard, report.shards_updated,
-      servers_.size());
-  if (!options.rollback_on_failure) {
-    // Legacy abort: updated shards keep the new snapshot; the skew is
-    // visible in FleetStats until a later rollout. The failed shard is
-    // already back in rotation (reset above).
-    rolling_updates_.fetch_add(1, std::memory_order_relaxed);
-    return Status::DeadlineExceeded(report.failure);
-  }
-
-  // Rollback: restore already-updated shards to their prior snapshots in
-  // reverse order through the same drain barrier, so each rolled-back
-  // shard's admitted requests score one consistent version too. A shard
-  // whose rollback barrier ALSO stalls is force-swapped without the
-  // barrier — per-batch isolation keeps that safe (in-flight batches
+    return server->UpdateSnapshot(snapshot);
+  };
+  // A shard whose rollback barrier ALSO stalls is force-swapped without
+  // the barrier — per-batch isolation keeps that safe (in-flight batches
   // finish on the snapshot they grabbed), and the fleet must converge to
   // zero skew no matter what.
-  for (size_t i = report.shards.size(); i-- > 0;) {
-    ShardRolloutReport& shard_report = report.shards[i];
-    if (!shard_report.updated) continue;
-    size_t s = shard_report.shard;
+  auto revert = [&](size_t s) -> Status {
     std::shared_ptr<ScoringServer> server = shard_ref(s);
-    draining_[s].store(true, std::memory_order_release);
-    WallTimer stall;
-    Status drained =
-        server->Quiesce(options.drain_timeout,
-                        /*require_empty_queue=*/servers_.size() > 1);
-    (void)drained;  // forced swap below is safe either way
-    Status swapped = server->UpdateSnapshot(prior[s]);
-    draining_[s].store(false, std::memory_order_release);
-    if (!swapped.ok()) {
-      // UpdateSnapshot only fails on a null snapshot; prior[s] is not.
-      return Status::Internal("RollingUpdate rollback: " + swapped.message());
-    }
-    shard_report.rolled_back = true;
-    shard_report.rollback_stall_ms = stall.ElapsedMillis();
-    report.rollback_stall_ms += shard_report.rollback_stall_ms;
-  }
-  report.state = RolloutState::kRolledBack;
-  rolling_updates_.fetch_add(1, std::memory_order_relaxed);
-  rollbacks_.fetch_add(1, std::memory_order_relaxed);
-  return report;
+    (void)server->Quiesce(options.drain_timeout, require_empty_queue);
+    return server->UpdateSnapshot(prior[s]);
+  };
+  return rollout_.Run(options, apply, revert);
 }
 
 Status ScoringFleet::EjectShard(size_t s) {
@@ -419,83 +309,71 @@ Status ScoringFleet::RestartShard(size_t s) {
   return Status::OK();
 }
 
-FleetStatsView ScoringFleet::stats() const {
+FleetStatsView BuildFleetStatsView(
+    const std::vector<ShardStatsSample>& shards) {
+  const size_t n = shards.size();
   FleetStatsView view;
-  view.num_shards = servers_.size();
-  view.queue_depths.reserve(servers_.size());
-  view.shard_outlier_rates.reserve(servers_.size());
-  view.shard_completed.reserve(servers_.size());
-  view.shard_versions.reserve(servers_.size());
-  view.shard_ejected.reserve(servers_.size());
-  std::vector<uint64_t> merged_hist(ServerStats::kLatencyBuckets, 0);
-  std::array<std::vector<uint64_t>, ServerStats::kServeStages> merged_stage;
-  for (auto& h : merged_stage) h.assign(ServerStats::kLatencyBuckets, 0);
-  uint64_t batched_weighted = 0;
-  for (size_t i = 0; i < servers_.size(); ++i) {
-    std::shared_ptr<ScoringServer> server = shard_ref(i);
-    ServerStats::View s = server->stats();
-    view.submitted += s.submitted;
-    view.completed += s.completed;
-    view.shed_admission += s.shed_admission;
-    view.shed_deadline += s.shed_deadline;
-    view.invalid += s.invalid;
-    view.batches += s.batches;
-    view.snapshot_swaps += s.snapshot_swaps;
-    view.density_checked += s.density_checked;
-    view.density_outliers += s.density_outliers;
-    batched_weighted +=
-        static_cast<uint64_t>(s.mean_batch_size * s.batches + 0.5);
-    // In-process views always carry kLatencyBuckets buckets, but the
-    // merge validates anyway (the same helper merges wire-deserialized
-    // views, where the count is genuinely untrusted). A mismatched
-    // histogram is skipped rather than misaligned.
-    (void)ServerStats::MergeHistogramInto(&merged_hist, s.latency_hist);
-    view.trace_sampled += s.trace_sampled;
-    view.trace_append_failures += s.trace_append_failures;
-    for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-      (void)ServerStats::MergeHistogramInto(&merged_stage[st],
-                                            s.stage_hist[st]);
-    }
-    view.queue_depths.push_back(server->queue_depth());
-    view.shard_outlier_rates.push_back(
-        s.density_checked == 0
-            ? 0.0
-            : static_cast<double>(s.density_outliers) /
-                  static_cast<double>(s.density_checked));
-    view.shard_completed.push_back(s.completed);
-    view.shard_versions.push_back(server->CurrentSnapshot()->version());
-    view.shard_ejected.push_back(ShardEjected(i) ? 1 : 0);
+  view.num_shards = n;
+  view.queue_depths.resize(n);
+  view.shard_outlier_rates.assign(n, 0.0);
+  view.shard_completed.assign(n, 0);
+  view.shard_versions.resize(n);
+  view.shard_ejected.resize(n);
+  view.audit.shard_alert_active.assign(n, 0);
+  view.audit.shard_windows.assign(n, 0);
+  // Checked-row fraction below the density floor (0 before any row).
+  auto outlier_rate = [](const ServerStats::View& v) {
+    return v.density_checked == 0
+               ? 0.0
+               : static_cast<double>(v.density_outliers) /
+                     static_cast<double>(v.density_checked);
+  };
+  std::vector<ServerStats::View> reachable;
+  reachable.reserve(n);
+  for (size_t s = 0; s < n; ++s) {
+    const ShardStatsSample& shard = shards[s];
+    view.queue_depths[s] = shard.queue_depth;
+    view.shard_versions[s] = shard.snapshot_version;
+    view.shard_ejected[s] = shard.ejected ? 1 : 0;
+    if (!shard.reachable) continue;
+    const ServerStats::View& sv = shard.view;
+    reachable.push_back(sv);
+    view.shard_completed[s] = sv.completed;
+    view.shard_outlier_rates[s] = outlier_rate(sv);
+    // Audit tallies ride the stats view; a shard with any audit
+    // activity marks the fleet view enabled.
+    view.audit.shard_windows[s] = sv.audit_windows;
+    view.audit.shard_alert_active[s] = sv.audit_alert_active ? 1 : 0;
+    if (sv.audit_alert_active) ++view.audit.shards_alerting;
   }
-  view.mean_batch_size =
-      view.batches == 0 ? 0.0
-                        : static_cast<double>(batched_weighted) /
-                              static_cast<double>(view.batches);
-  view.outlier_rate =
-      view.density_checked == 0
-          ? 0.0
-          : static_cast<double>(view.density_outliers) /
-                static_cast<double>(view.density_checked);
-  // Fleet percentiles from the merged counts — averaging per-shard
-  // percentiles would misweight unevenly loaded shards.
-  view.p50_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.50);
-  view.p95_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.95);
-  view.p99_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.99);
-  for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-    view.stage_p99_us[st] =
-        ServerStats::PercentileUsFromHist(merged_stage[st], 0.99);
+  static_cast<ServerStats::View&>(view) = ServerStats::MergeViews(reachable);
+  view.outlier_rate = outlier_rate(view);
+  view.audit.enabled = view.audit_windows > 0 || view.audit_alert_active ||
+                       view.audit_has_metrics;
+  view.audit.windows = view.audit_windows;
+  view.audit.breaches = view.audit_breaches;
+  view.audit.alerts_raised = view.audit_alerts_raised;
+  if (n > 0) {
+    auto [lo, hi] = std::minmax_element(view.shard_versions.begin(),
+                                        view.shard_versions.end());
+    view.min_snapshot_version = *lo;
+    view.max_snapshot_version = *hi;
   }
-  view.min_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::min_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
-  view.max_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::max_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
-  view.rolling_updates = rolling_updates_.load(std::memory_order_relaxed);
-  view.rollbacks = rollbacks_.load(std::memory_order_relaxed);
+  return view;
+}
+
+FleetStatsView ScoringFleet::stats() const {
+  std::vector<ShardStatsSample> samples(servers_.size());
+  for (size_t s = 0; s < servers_.size(); ++s) {
+    std::shared_ptr<ScoringServer> server = shard_ref(s);
+    samples[s].view = server->stats();
+    samples[s].queue_depth = server->queue_depth();
+    samples[s].snapshot_version = server->CurrentSnapshot()->version();
+    samples[s].ejected = ShardEjected(s);
+  }
+  FleetStatsView view = BuildFleetStatsView(samples);
+  view.rolling_updates = rollout_.rolling_updates();
+  view.rollbacks = rollout_.rollbacks();
   view.ejections = ejections_.load(std::memory_order_relaxed);
   view.restarts = restarts_.load(std::memory_order_relaxed);
   view.readmissions = readmissions_.load(std::memory_order_relaxed);

@@ -30,15 +30,17 @@
 // is ever out of rotation, so the fleet keeps serving throughout, and the
 // barrier guarantees each admitted request scores against one consistent
 // snapshot version. FleetStats reports the per-shard served versions, so
-// mid-rollout skew is observable instead of silent.
+// mid-rollout skew is observable instead of silent; this fleet and
+// RemoteFleet build it with the same BuildFleetStatsView.
 //
 // Failure handling (this layer's robustness contract):
-//   - A shard whose drain barrier stalls is RETRIED with exponential
-//     backoff + deterministic jitter; between attempts it is back in
-//     rotation, so a stalled rollout never starves a shard.
-//   - When a shard exhausts its attempts, the rollout ROLLS BACK:
-//     already-updated shards return to their prior snapshots in reverse
-//     order through the same drain barrier, so the fleet is never left
+//   - The rollout loop is the shared RolloutEngine (serve/fleet/
+//     rollout.h), the same one RemoteFleet::PushRolling drives: a shard
+//     whose drain barrier stalls is RETRIED with exponential backoff +
+//     deterministic jitter (back in rotation between attempts), and when
+//     a shard exhausts its attempts the rollout ROLLS BACK — already-
+//     updated shards return to their prior snapshots in reverse order
+//     through the same drain barrier, so the fleet is never left
 //     version-skewed. The report's terminal state says which way it went.
 //   - A wedged or dead shard can be EJECTED from routing (all three
 //     policies skip it; the hash policy rendezvous-reassigns its keys
@@ -49,7 +51,6 @@
 #ifndef FAIRDRIFT_SERVE_FLEET_FLEET_H_
 #define FAIRDRIFT_SERVE_FLEET_FLEET_H_
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -57,6 +58,7 @@
 #include <vector>
 
 #include "serve/audit/auditor.h"
+#include "serve/fleet/rollout.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
 #include "serve/ticket.h"
@@ -137,98 +139,14 @@ struct FleetOptions {
   AuditOptions audit;
 };
 
-/// Per-shard drain + swap schedule knobs.
-struct RollingUpdateOptions {
-  /// How long the drain barrier waits for one shard to empty before the
-  /// attempt counts as failed.
-  std::chrono::nanoseconds drain_timeout = std::chrono::seconds(10);
-  /// Drain/swap attempts per shard before the rollout gives up on it.
-  size_t max_attempts_per_shard = 3;
-  /// Backoff before the second attempt; doubles (backoff_multiplier)
-  /// each further attempt. The shard is back in rotation while waiting.
-  std::chrono::nanoseconds initial_backoff = std::chrono::milliseconds(10);
-  double backoff_multiplier = 2.0;
-  /// Jitter fraction: each wait is scaled by a factor drawn uniformly
-  /// from [1 - jitter, 1 + jitter] — deterministically from
-  /// backoff_seed, so a fault-injected rollout replays exactly.
-  double backoff_jitter = 0.25;
-  uint64_t backoff_seed = 0;
-  /// On exhausted retries, roll already-updated shards back to their
-  /// prior snapshots (reverse order, same drain barrier) so the fleet
-  /// exits with zero version skew. false restores the legacy abort:
-  /// the rollout fails DeadlineExceeded with updated shards keeping the
-  /// new snapshot (skew visible in FleetStats until a later rollout).
-  bool rollback_on_failure = true;
-};
-
-/// How a rolling update terminated.
-enum class RolloutState : uint8_t {
-  /// Every shard drained and swapped to the new snapshot.
-  kCommitted = 0,
-  /// A shard exhausted its attempts; updated shards were rolled back to
-  /// their prior snapshots. The fleet exits with zero version skew.
-  kRolledBack = 1,
-};
-
-const char* RolloutStateName(RolloutState state);
-
-/// One shard's slice of a rolling update.
-struct ShardRolloutReport {
-  size_t shard = 0;
-  /// Drain/swap attempts consumed (1 = first try succeeded).
-  size_t attempts = 0;
-  /// The shard swapped to the new snapshot (possibly rolled back later).
-  bool updated = false;
-  /// The shard was returned to its prior snapshot by a rollback.
-  bool rolled_back = false;
-  /// Successful-attempt drain-barrier stall (out-of-rotation time).
-  double stall_ms = 0.0;
-  /// Rollback drain-barrier stall, when rolled_back.
-  double rollback_stall_ms = 0.0;
-  /// Last attempt error (empty when the first attempt succeeded).
-  std::string last_error;
-};
-
-/// What one rolling update did: how many shards swapped, how long each
-/// shard's drain barrier stalled it (its only out-of-rotation time —
-/// the fleet as a whole never stops serving), and per-shard
-/// attempt/outcome detail with the terminal committed/rolled-back state.
-struct RollingUpdateReport {
-  size_t shards_updated = 0;
-  std::vector<double> shard_stall_ms;
-  double max_stall_ms = 0.0;
-  RolloutState state = RolloutState::kCommitted;
-  std::vector<ShardRolloutReport> shards;
-  /// Drain/swap attempts summed over shards (== num_shards when nothing
-  /// retried).
-  size_t total_attempts = 0;
-  /// Total rollback drain-barrier stall across rolled-back shards.
-  double rollback_stall_ms = 0.0;
-  /// Why the rollout rolled back (empty when committed).
-  std::string failure;
-};
-
-/// Fleet-wide aggregated statistics: counter sums, fleet percentiles
-/// derived from the element-wise merged latency histograms (NOT averaged
-/// per-shard percentiles), per-shard load, and snapshot-version skew.
-struct FleetStatsView {
+/// Fleet-wide aggregated statistics. The ServerStats::View base is the
+/// ServerStats::MergeViews of every sampled shard — counter sums, fleet
+/// percentiles derived from the element-wise merged latency histograms
+/// (NOT averaged per-shard percentiles) — and is exactly what a router
+/// serves for kStatsSnapshot / renders for kMetrics. On top: per-shard
+/// load, drift and snapshot-version skew, and lifecycle counters.
+struct FleetStatsView : ServerStats::View {
   size_t num_shards = 0;
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  uint64_t shed_admission = 0;
-  uint64_t shed_deadline = 0;
-  uint64_t invalid = 0;
-  uint64_t batches = 0;
-  uint64_t snapshot_swaps = 0;
-  double mean_batch_size = 0.0;
-  double p50_latency_us = 0.0;
-  double p95_latency_us = 0.0;
-  double p99_latency_us = 0.0;
-  /// Density-monitor rows evaluated across the fleet (all completed rows
-  /// in exact/bounded modes; the content-hash subset in sampled mode).
-  uint64_t density_checked = 0;
-  /// Checked rows below the density floor.
-  uint64_t density_outliers = 0;
   /// density_outliers / density_checked (0 before any row is checked) —
   /// the fleet drift signal. Computed from the summed counts, not an
   /// average of per-shard rates, so unevenly loaded shards weigh
@@ -263,18 +181,29 @@ struct FleetStatsView {
   uint64_t readmissions = 0;
   /// Per-shard ejected flag (1 = currently out of routing).
   std::vector<uint8_t> shard_ejected;
-  /// Requests selected by the content-hash trace sampler, fleet-wide.
-  uint64_t trace_sampled = 0;
-  /// Sampled span records lost to failed trace-log appends, fleet-wide.
-  uint64_t trace_append_failures = 0;
-  /// p99 latency per pipeline stage of sampled requests, derived from
-  /// the element-wise merged per-stage histograms (indexed by
-  /// ServerStats::StageName order). Zero until a sampled request lands.
-  std::array<double, ServerStats::kServeStages> stage_p99_us{};
   /// Fairness audit aggregates (audit.enabled == false when the fleet
   /// was built without the audit tier).
   FleetAuditView audit;
 };
+
+/// One shard's contribution to a FleetStatsView.
+struct ShardStatsSample {
+  /// False when the shard could not be sampled (an unreachable daemon):
+  /// it then keeps its per-shard slots but adds nothing to the merge.
+  bool reachable = true;
+  ServerStats::View view;
+  size_t queue_depth = 0;
+  uint64_t snapshot_version = 0;
+  bool ejected = false;
+};
+
+/// Builds the fleet view from per-shard samples: counters summed and
+/// histograms merged over the reachable shards (ServerStats::MergeViews
+/// — fleet percentiles come from the merged counts, never averaged
+/// per-shard percentiles), per-shard vectors, version skew, and audit
+/// tallies from the per-shard views. Lifecycle counters (rolling
+/// updates, ejections, ...) are left to the caller.
+FleetStatsView BuildFleetStatsView(const std::vector<ShardStatsSample>& shards);
 
 /// N scoring-server shards behind a router, updated as one unit.
 class ScoringFleet : public ShardDirectory {
@@ -314,13 +243,11 @@ class ScoringFleet : public ShardDirectory {
   /// shard version consistency during the push matters.
   Status UpdateSnapshot(std::shared_ptr<const ModelSnapshot> snapshot);
 
-  /// Shard-by-shard drain + swap with retry/backoff and rollback (see
-  /// file comment). Serialized against concurrent updates. With
-  /// rollback_on_failure (the default) an exhausted shard yields an OK
-  /// result whose report.state == kRolledBack — the fleet healed itself;
-  /// callers decide whether a rolled-back push is an error. With
-  /// rollback disabled, exhaustion fails DeadlineExceeded (the drained
-  /// shard is always re-entered into rotation first).
+  /// Shard-by-shard drain + swap through the shared RolloutEngine (see
+  /// file comment). Serialized against concurrent updates. An exhausted
+  /// shard yields an OK result whose report.state == kRolledBack — the
+  /// fleet healed itself; callers decide whether a rolled-back push is
+  /// an error.
   Result<RollingUpdateReport> RollingUpdate(
       std::shared_ptr<const ModelSnapshot> snapshot,
       const RollingUpdateOptions& options = {});
@@ -367,9 +294,7 @@ class ScoringFleet : public ShardDirectory {
   size_t ShardLoad(size_t s) const override;
 
   /// True while a rolling update is draining shard `s`.
-  bool ShardDraining(size_t s) const {
-    return draining_[s].load(std::memory_order_acquire);
-  }
+  bool ShardDraining(size_t s) const { return rollout_.draining(s); }
 
   /// True while shard `s` is ejected from routing.
   bool ShardEjected(size_t s) const {
@@ -393,15 +318,12 @@ class ScoringFleet : public ShardDirectory {
   /// free functions; readers take owning refs through shard_ref(). The
   /// vector itself never resizes after Create.
   std::vector<std::shared_ptr<ScoringServer>> servers_;
-  std::unique_ptr<std::atomic<bool>[]> draining_;
   std::unique_ptr<std::atomic<bool>[]> ejected_;
   ShardRouter router_;
-  std::mutex update_mu_;
+  RolloutEngine rollout_;
   /// Serializes RestartShard against itself (slot swaps are atomic for
   /// readers; two concurrent restarts of one shard would leak a stop).
   std::mutex restart_mu_;
-  std::atomic<uint64_t> rolling_updates_{0};
-  std::atomic<uint64_t> rollbacks_{0};
   std::atomic<uint64_t> ejections_{0};
   std::atomic<uint64_t> restarts_{0};
   std::atomic<uint64_t> readmissions_{0};

@@ -18,10 +18,29 @@ const char* ShardHealthName(ShardHealth health) {
   return "?";
 }
 
-ShardHealthFsm::Verdict ShardHealthFsm::Observe(bool stalled,
-                                                bool degraded_hint,
-                                                bool ejected,
+void ShardHealthFsm::Seed(uint64_t completed) {
+  last_completed_ = completed;
+  have_baseline_ = true;
+}
+
+ShardHealthFsm::Verdict ShardHealthFsm::Observe(uint64_t completed,
+                                                bool pending, bool ejected,
                                                 const Limits& limits) {
+  // Stalled = pending work with no dispatcher progress since the last
+  // probe. An idle shard is healthy by definition.
+  bool progressed = !have_baseline_ || completed != last_completed_;
+  Seed(completed);
+  return Fold(pending && !progressed, ejected, limits);
+}
+
+ShardHealthFsm::Verdict ShardHealthFsm::ObserveUnreachable(
+    bool ejected, const Limits& limits) {
+  have_baseline_ = false;
+  return Fold(/*stalled=*/true, ejected, limits);
+}
+
+ShardHealthFsm::Verdict ShardHealthFsm::Fold(bool stalled, bool ejected,
+                                             const Limits& limits) {
   Verdict verdict;
   if (ejected) {
     if (health_ != ShardHealth::kDead &&
@@ -62,7 +81,7 @@ ShardHealthFsm::Verdict ShardHealthFsm::Observe(bool stalled,
   }
 
   stalled_probes_ = 0;
-  health_ = degraded_hint ? ShardHealth::kDegraded : ShardHealth::kHealthy;
+  health_ = ShardHealth::kHealthy;
   verdict.health = health_;
   return verdict;
 }
@@ -91,11 +110,11 @@ Status HealthMonitor::Start(ScoringFleet* fleet,
   fleet_ = fleet;
   options_ = options;
   probes_ = ejections_ = restarts_ = readmissions_ = 0;
-  shards_.assign(fleet->num_shards(), ShardState{});
+  shards_.assign(fleet->num_shards(), ShardHealthFsm{});
   // Seed the progress counters so the first probe measures advancement
   // from now, not from zero.
   for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].last_completed = fleet->shard_ref(s)->stats().completed;
+    shards_[s].Seed(fleet->shard_ref(s)->stats().completed);
   }
   stop_requested_ = false;
   running_ = true;
@@ -136,26 +155,11 @@ void HealthMonitor::ProbeOnce() {
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t s = 0; s < shards_.size(); ++s) {
-      ShardState& state = shards_[s];
       std::shared_ptr<ScoringServer> server = fleet_->shard_ref(s);
-      ServerStats::View sv = server->stats();
-      size_t queued = server->queue_depth();
-      size_t inflight = server->inflight_batches();
-      bool progressed = sv.completed != state.last_completed;
-      // Stalled = pending work with no dispatcher progress since the
-      // last probe. An idle shard is healthy by definition.
-      bool pending = queued > 0 || inflight > 0;
-      bool stalled = pending && !progressed;
-      state.last_completed = sv.completed;
-
-      bool over_depth = options_.degraded_queue_depth > 0 &&
-                        queued > options_.degraded_queue_depth;
-      bool over_latency =
-          options_.degraded_ewma_latency_ms > 0.0 &&
-          sv.ewma_batch_latency_us / 1000.0 > options_.degraded_ewma_latency_ms;
-      ShardHealthFsm::Verdict verdict = state.fsm.Observe(
-          stalled, over_depth || over_latency, fleet_->ShardEjected(s),
-          limits);
+      ShardHealthFsm::Verdict verdict = shards_[s].Observe(
+          server->stats().completed,
+          server->queue_depth() > 0 || server->inflight_batches() > 0,
+          fleet_->ShardEjected(s), limits);
       if (verdict.readmit) {
         if (fleet_->ReadmitShard(s).ok()) ++readmissions_;
       }
@@ -177,7 +181,7 @@ void HealthMonitor::ProbeOnce() {
     if (fleet_->RestartShard(s).ok()) {
       std::lock_guard<std::mutex> lock(mu_);
       ++restarts_;
-      shards_[s].fsm.NoteRestarted();
+      shards_[s].NoteRestarted();
     }
   }
 }
@@ -190,8 +194,8 @@ HealthMonitor::View HealthMonitor::stats() const {
   view.restarts = restarts_;
   view.readmissions = readmissions_;
   view.shard_health.reserve(shards_.size());
-  for (const ShardState& s : shards_) {
-    view.shard_health.push_back(s.fsm.health());
+  for (const ShardHealthFsm& fsm : shards_) {
+    view.shard_health.push_back(fsm.health());
   }
   return view;
 }

@@ -15,8 +15,8 @@
 // completed) crossed with pending work: a shard with queued requests or
 // in-flight batches whose completed count is not advancing is STALLED.
 // An idle shard (nothing pending) is healthy by definition — no traffic
-// is not a fault. Optional queue-depth / EWMA-latency thresholds mark a
-// slow-but-alive shard kDegraded without ejecting it.
+// is not a fault. ShardHealthFsm keeps that progress baseline itself, so
+// this monitor and RemoteFleet's prober only report what they observed.
 //
 // Ejection reroutes new traffic (ScoringFleet::EjectShard — the hash
 // policy rendezvous-reassigns the shard's keys deterministically);
@@ -45,7 +45,7 @@ namespace fairdrift {
 /// Monitor verdict for one shard.
 enum class ShardHealth : uint8_t {
   kHealthy = 0,
-  /// Stalled or over a degradation threshold, not yet ejected.
+  /// Stalled, not yet ejected.
   kDegraded = 1,
   /// Stalled for dead_after_stalled_probes consecutive probes; ejected.
   kDead = 2,
@@ -82,13 +82,21 @@ class ShardHealthFsm {
     bool readmit = false;
   };
 
-  /// Folds one probe. `stalled` = pending work with no progress since
-  /// the last probe (for a remote shard: also an unreachable or failed
-  /// probe RPC). `degraded_hint` = slow-but-alive thresholds tripped.
-  /// `ejected` = the shard is currently out of routing (by this
-  /// monitor's verdict or out-of-band, e.g. an operator).
-  Verdict Observe(bool stalled, bool degraded_hint, bool ejected,
+  /// Sets the progress baseline the next Observe measures from.
+  void Seed(uint64_t completed);
+
+  /// Folds one answered probe: the shard's completed-request counter and
+  /// whether it has pending work (queued or in-flight). Stalled =
+  /// pending with `completed` unchanged since the baseline (a shard with
+  /// no baseline yet counts as progressing). `ejected` = the shard is
+  /// currently out of routing (by this monitor's verdict or out-of-band,
+  /// e.g. an operator).
+  Verdict Observe(uint64_t completed, bool pending, bool ejected,
                   const Limits& limits);
+
+  /// Folds an unanswered probe (a remote shard's failed probe RPC):
+  /// stalled, and the progress baseline is dropped.
+  Verdict ObserveUnreachable(bool ejected, const Limits& limits);
 
   /// The shard was rebuilt in place; accumulate recovery probes anew.
   void NoteRestarted();
@@ -96,7 +104,11 @@ class ShardHealthFsm {
   ShardHealth health() const { return health_; }
 
  private:
+  Verdict Fold(bool stalled, bool ejected, const Limits& limits);
+
   ShardHealth health_ = ShardHealth::kHealthy;
+  uint64_t last_completed_ = 0;
+  bool have_baseline_ = false;
   size_t stalled_probes_ = 0;
   size_t healthy_probes_ = 0;
 };
@@ -115,12 +127,6 @@ struct HealthMonitorOptions {
   /// false the shard stays ejected (kDead) until an operator restarts
   /// or readmits it.
   bool auto_restart = true;
-  /// When > 0: a queue depth above this marks the shard kDegraded even
-  /// while it is making progress.
-  size_t degraded_queue_depth = 0;
-  /// When > 0: an EWMA batch latency above this (ms) marks the shard
-  /// kDegraded even while it is making progress.
-  double degraded_ewma_latency_ms = 0.0;
 };
 
 /// One probe thread watching one fleet. Start/Stop bracketed; the fleet
@@ -158,11 +164,6 @@ class HealthMonitor {
   void ProbeOnce();
 
  private:
-  struct ShardState {
-    ShardHealthFsm fsm;
-    uint64_t last_completed = 0;
-  };
-
   void ProbeLoop();
 
   ScoringFleet* fleet_ = nullptr;
@@ -176,7 +177,7 @@ class HealthMonitor {
   uint64_t ejections_ = 0;
   uint64_t restarts_ = 0;
   uint64_t readmissions_ = 0;
-  std::vector<ShardState> shards_;
+  std::vector<ShardHealthFsm> shards_;
   std::thread probe_thread_;
 };
 

@@ -1,14 +1,10 @@
 #include "serve/net/remote_fleet.h"
 
-#include <algorithm>
-#include <array>
 #include <cstdlib>
 #include <map>
-#include <thread>
 #include <utility>
 
 #include "serve/trace/trace_context.h"
-#include "util/rng.h"
 
 namespace fairdrift {
 namespace net {
@@ -181,6 +177,28 @@ Result<RemoteShardClient::CommitReply> RemoteShardClient::PushCommit() {
   return out;
 }
 
+Result<RemoteShardClient::PushReply> RemoteShardClient::Push(
+    const ChunkedSnapshot& chunked) {
+  Result<std::vector<std::string>> needed = PushManifest(chunked.manifest);
+  if (!needed.ok()) return needed.status();
+  PushReply out;
+  for (const std::string& name : needed.value()) {
+    size_t index = chunked.manifest.FindChunk(name);
+    if (index == static_cast<size_t>(-1)) {
+      return Status::DataLoss("receiver requested chunk '" + name +
+                              "' which is not in the push set");
+    }
+    const SnapshotPayloadChunk& chunk = chunked.chunks[index];
+    FAIRDRIFT_RETURN_IF_ERROR(PushChunk(chunk.name, chunk.bytes));
+    ++out.chunks_sent;
+    out.bytes_sent += chunk.bytes.size();
+  }
+  Result<CommitReply> commit = PushCommit();
+  if (!commit.ok()) return commit.status();
+  out.commit = std::move(commit).value();
+  return out;
+}
+
 Result<uint64_t> RemoteShardClient::PushRevert() {
   Result<Frame> reply = Call(FrameType::kPushRevert, std::string(),
                              FrameType::kPushRevertReply);
@@ -189,8 +207,16 @@ Result<uint64_t> RemoteShardClient::PushRevert() {
   return r.ReadU64();
 }
 
-RemoteFleet::RemoteFleet(const RemoteFleetOptions& options)
-    : options_(options) {}
+RemoteFleet::RemoteFleet(
+    const RemoteFleetOptions& options,
+    std::vector<std::unique_ptr<RemoteShardClient>> clients)
+    : options_(options),
+      clients_(std::move(clients)),
+      router_(options.routing, clients_.size()),
+      rollout_(clients_.size()),
+      ejected_(std::make_unique<std::atomic<bool>[]>(clients_.size())),
+      last_load_(std::make_unique<std::atomic<size_t>[]>(clients_.size())),
+      probe_states_(clients_.size()) {}
 
 Result<std::unique_ptr<RemoteFleet>> RemoteFleet::Connect(
     const std::vector<std::string>& addresses,
@@ -198,31 +224,26 @@ Result<std::unique_ptr<RemoteFleet>> RemoteFleet::Connect(
   if (addresses.empty()) {
     return Status::InvalidArgument("RemoteFleet: no shard addresses");
   }
-  std::unique_ptr<RemoteFleet> fleet(new RemoteFleet(options));
+  std::vector<std::unique_ptr<RemoteShardClient>> clients;
   for (const std::string& address : addresses) {
     std::string host;
     uint16_t port = 0;
     FAIRDRIFT_RETURN_IF_ERROR(ParseHostPort(address, &host, &port));
-    fleet->clients_.push_back(std::make_unique<RemoteShardClient>(
+    clients.push_back(std::make_unique<RemoteShardClient>(
         std::move(host), port, options.io_timeout));
   }
-  const size_t n = fleet->clients_.size();
-  fleet->router_ = std::make_unique<ShardRouter>(options.routing, n);
-  fleet->ejected_ = std::make_unique<std::atomic<bool>[]>(n);
-  fleet->draining_ = std::make_unique<std::atomic<bool>[]>(n);
-  fleet->last_load_ = std::make_unique<std::atomic<size_t>[]>(n);
-  fleet->probe_states_.resize(n);
+  std::unique_ptr<RemoteFleet> fleet(
+      new RemoteFleet(options, std::move(clients)));
   // Fail fast on a misconfigured fleet: every daemon must answer a
   // probe now. This also seeds the stalled-detection baselines.
-  for (size_t s = 0; s < n; ++s) {
+  for (size_t s = 0; s < addresses.size(); ++s) {
     Result<WireHealthProbe> probe = fleet->clients_[s]->Probe();
     if (!probe.ok()) {
       return Status::Unavailable("shard " + std::to_string(s) + " (" +
                                  addresses[s] + "): " +
                                  probe.status().message());
     }
-    fleet->probe_states_[s].last_completed = probe.value().completed;
-    fleet->probe_states_[s].have_baseline = true;
+    fleet->probe_states_[s].fsm.Seed(probe.value().completed);
     fleet->probe_states_[s].last_version = probe.value().snapshot_version;
     fleet->last_load_[s].store(probe.value().queue_depth +
                                probe.value().inflight_batches);
@@ -273,7 +294,7 @@ void RemoteFleet::ProbeOnce() {
     {
       std::lock_guard<std::mutex> lock(mu_);
       ProbeState& state = probe_states_[s];
-      bool stalled;
+      const bool ejected = ejected_[s].load(std::memory_order_acquire);
       if (probe.ok()) {
         // A dead daemon is unreachable, so a probe answer from a kDead
         // shard means the operator restarted the process. There is no
@@ -283,23 +304,16 @@ void RemoteFleet::ProbeOnce() {
           state.fsm.NoteRestarted();
         }
         const WireHealthProbe& p = probe.value();
-        bool progressed =
-            !state.have_baseline || p.completed != state.last_completed;
-        bool pending = p.queue_depth > 0 || p.inflight_batches > 0;
-        stalled = pending && !progressed;
-        state.last_completed = p.completed;
-        state.have_baseline = true;
         state.last_version = p.snapshot_version;
         last_load_[s].store(p.queue_depth + p.inflight_batches,
                             std::memory_order_relaxed);
+        verdict = state.fsm.Observe(
+            p.completed, p.queue_depth > 0 || p.inflight_batches > 0,
+            ejected, limits);
       } else {
         // Unreachable IS stalled: the remote twin of a wedged dispatcher.
-        stalled = true;
-        state.have_baseline = false;
+        verdict = state.fsm.ObserveUnreachable(ejected, limits);
       }
-      verdict = state.fsm.Observe(
-          stalled, false, ejected_[s].load(std::memory_order_acquire),
-          limits);
     }
     if (verdict.eject) (void)EjectShard(s);
     if (verdict.readmit) (void)ReadmitShard(s);
@@ -357,7 +371,7 @@ Result<std::vector<WireRowOutcome>> RemoteFleet::ScoreBatch(
   for (int round = 0; round < 2 && !pending.empty(); ++round) {
     std::map<size_t, std::vector<size_t>> by_shard;
     for (size_t idx : pending) {
-      by_shard[router_->Pick(&rows[idx * width], width, *this)].push_back(idx);
+      by_shard[router_.Pick(&rows[idx * width], width, *this)].push_back(idx);
     }
     std::vector<size_t> failed;
     for (auto& entry : by_shard) {
@@ -377,8 +391,8 @@ Result<std::vector<WireRowOutcome>> RemoteFleet::ScoreBatch(
       // parent is the router's constant tier span.
       FrameTraceContext trace;
       trace.parent_span_id = TraceSpanId(0, "router");
-      Result<std::vector<WireRowOutcome>> reply = clients_[shard]->ScoreBatch(
-          request, options_.propagate_trace ? &trace : nullptr);
+      Result<std::vector<WireRowOutcome>> reply =
+          clients_[shard]->ScoreBatch(request, &trace);
       if (reply.ok() && reply.value().size() == idxs.size()) {
         for (size_t i = 0; i < idxs.size(); ++i) {
           outcomes[idxs[i]] = std::move(reply.value()[i]);
@@ -418,226 +432,34 @@ Result<ScoreResult> RemoteFleet::Score(const std::vector<double>& row,
   return outcome.result;
 }
 
-Status RemoteFleet::PushShard(size_t s, const ChunkedSnapshot& chunked,
-                              uint64_t* version) {
-  RemoteShardClient* client = clients_[s].get();
-  Result<std::vector<std::string>> needed =
-      client->PushManifest(chunked.manifest);
-  if (!needed.ok()) return needed.status();
-  for (const std::string& name : needed.value()) {
-    const SnapshotPayloadChunk* chunk = nullptr;
-    for (const SnapshotPayloadChunk& c : chunked.chunks) {
-      if (c.name == name) {
-        chunk = &c;
-        break;
-      }
-    }
-    if (chunk == nullptr) {
-      return Status::DataLoss("shard requested chunk '" + name +
-                              "' which is not in the push set");
-    }
-    FAIRDRIFT_RETURN_IF_ERROR(client->PushChunk(chunk->name, chunk->bytes));
-  }
-  Result<RemoteShardClient::CommitReply> commit = client->PushCommit();
-  if (!commit.ok()) return commit.status();
-  *version = commit.value().snapshot_version;
-  return Status::OK();
-}
-
 Result<RollingUpdateReport> RemoteFleet::PushRolling(
     const ChunkedSnapshot& chunked, const RollingUpdateOptions& options) {
-  const size_t n = clients_.size();
-  RollingUpdateReport report;
-  report.shards.resize(n);
-  report.shard_stall_ms.assign(n, 0.0);
-  Rng rng(options.backoff_seed);
-  std::vector<size_t> committed;
-  bool failed = false;
-  std::string failure;
-
-  for (size_t s = 0; s < n && !failed; ++s) {
-    ShardRolloutReport& sr = report.shards[s];
-    sr.shard = s;
-    std::chrono::nanoseconds backoff = options.initial_backoff;
-    Status last = Status::OK();
-    for (size_t attempt = 1; attempt <= options.max_attempts_per_shard;
-         ++attempt) {
-      sr.attempts = attempt;
-      ++report.total_attempts;
-      if (attempt > 1) {
-        double factor = rng.Uniform(1.0 - options.backoff_jitter,
-                                    1.0 + options.backoff_jitter);
-        auto wait = std::chrono::nanoseconds(
-            static_cast<int64_t>(backoff.count() * factor));
-        std::this_thread::sleep_for(wait);
-        backoff = std::chrono::nanoseconds(static_cast<int64_t>(
-            backoff.count() * options.backoff_multiplier));
-      }
-      // One shard out of rotation at a time: traffic steers away while
-      // this shard's push conversation runs, exactly like the in-process
-      // rolling update's drain window.
-      draining_[s].store(true, std::memory_order_release);
-      auto t0 = std::chrono::steady_clock::now();
-      uint64_t version = 0;
-      last = PushShard(s, chunked, &version);
-      auto stall = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-      draining_[s].store(false, std::memory_order_release);
-      if (last.ok()) {
-        sr.updated = true;
-        sr.stall_ms = stall;
-        report.shard_stall_ms[s] = stall;
-        report.max_stall_ms = std::max(report.max_stall_ms, stall);
-        ++report.shards_updated;
-        committed.push_back(s);
-        break;
-      }
-      sr.last_error = last.message();
-    }
-    if (!last.ok()) {
-      failed = true;
-      failure = "shard " + std::to_string(s) + ": " + last.message();
-    }
-  }
-
-  rolling_updates_.fetch_add(1);
-  if (failed) {
-    if (!options.rollback_on_failure) {
-      return Status::DeadlineExceeded("rolling push exhausted retries (" +
-                                      failure + "); rollback disabled");
-    }
-    // Reverse-order revert so the fleet exits with zero version skew.
-    for (auto it = committed.rbegin(); it != committed.rend(); ++it) {
-      size_t s = *it;
-      draining_[s].store(true, std::memory_order_release);
-      auto t0 = std::chrono::steady_clock::now();
-      Result<uint64_t> reverted = clients_[s]->PushRevert();
-      auto stall = std::chrono::duration<double, std::milli>(
-                       std::chrono::steady_clock::now() - t0)
-                       .count();
-      draining_[s].store(false, std::memory_order_release);
-      if (reverted.ok()) {
-        report.shards[s].rolled_back = true;
-        report.shards[s].rollback_stall_ms = stall;
-        report.rollback_stall_ms += stall;
-      } else if (report.shards[s].last_error.empty()) {
-        report.shards[s].last_error =
-            "revert failed: " + reverted.status().message();
-      }
-    }
-    report.state = RolloutState::kRolledBack;
-    report.failure = failure;
-    rollbacks_.fetch_add(1);
-  }
-  return report;
+  // The engine has the shard out of rotation while its push
+  // conversation runs, exactly like the in-process drain window.
+  return rollout_.Run(
+      options, [&](size_t s) { return clients_[s]->Push(chunked).status(); },
+      [&](size_t s) { return clients_[s]->PushRevert().status(); });
 }
 
 FleetStatsView RemoteFleet::stats() const {
   const size_t n = clients_.size();
-  FleetStatsView view;
-  view.num_shards = n;
-  view.queue_depths.resize(n);
-  view.shard_outlier_rates.assign(n, 0.0);
-  view.shard_completed.assign(n, 0);
-  view.shard_versions.assign(n, 0);
-  view.shard_ejected.assign(n, 0);
-  view.audit.shard_alert_active.assign(n, 0);
-  view.audit.shard_windows.assign(n, 0);
-  std::vector<uint64_t> merged_hist;
-  std::array<std::vector<uint64_t>, ServerStats::kServeStages> merged_stage;
-  double batch_size_sum = 0.0;
+  std::vector<ShardStatsSample> samples(n);
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (size_t s = 0; s < n; ++s) {
-      view.shard_versions[s] = probe_states_[s].last_version;
+      samples[s].snapshot_version = probe_states_[s].last_version;
     }
   }
   for (size_t s = 0; s < n; ++s) {
-    view.shard_ejected[s] = ejected_[s].load(std::memory_order_acquire);
-    view.queue_depths[s] = last_load_[s].load(std::memory_order_relaxed);
+    samples[s].ejected = ejected_[s].load(std::memory_order_acquire);
+    samples[s].queue_depth = last_load_[s].load(std::memory_order_relaxed);
     Result<ServerStats::View> remote = clients_[s]->Stats();
-    if (!remote.ok()) continue;  // unreachable shard contributes nothing
-    const ServerStats::View& sv = remote.value();
-    view.submitted += sv.submitted;
-    view.completed += sv.completed;
-    view.shed_admission += sv.shed_admission;
-    view.shed_deadline += sv.shed_deadline;
-    view.invalid += sv.invalid;
-    view.batches += sv.batches;
-    view.snapshot_swaps += sv.snapshot_swaps;
-    view.density_checked += sv.density_checked;
-    view.density_outliers += sv.density_outliers;
-    batch_size_sum += sv.mean_batch_size * static_cast<double>(sv.batches);
-    view.shard_completed[s] = sv.completed;
-    view.shard_outlier_rates[s] =
-        sv.density_checked > 0
-            ? static_cast<double>(sv.density_outliers) /
-                  static_cast<double>(sv.density_checked)
-            : 0.0;
-    if (merged_hist.empty()) {
-      merged_hist = sv.latency_hist;
-    } else {
-      // A daemon from a mismatched build (different bucket count) is
-      // skipped rather than misread; its scalar counters still merged.
-      (void)ServerStats::MergeHistogramInto(&merged_hist, sv.latency_hist);
-    }
-    view.trace_sampled += sv.trace_sampled;
-    view.trace_append_failures += sv.trace_append_failures;
-    for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-      if (merged_stage[st].empty()) {
-        merged_stage[st] = sv.stage_hist[st];
-      } else {
-        (void)ServerStats::MergeHistogramInto(&merged_stage[st],
-                                              sv.stage_hist[st]);
-      }
-    }
-    // Audit tallies ride the same wire view; a shard with any audit
-    // activity marks the fleet view enabled.
-    if (sv.audit_windows > 0 || sv.audit_alert_active ||
-        sv.audit_has_metrics) {
-      view.audit.enabled = true;
-    }
-    view.audit.windows += sv.audit_windows;
-    view.audit.breaches += sv.audit_breaches;
-    view.audit.alerts_raised += sv.audit_alerts_raised;
-    view.audit.shard_windows[s] = sv.audit_windows;
-    if (sv.audit_alert_active) {
-      view.audit.shard_alert_active[s] = 1;
-      ++view.audit.shards_alerting;
-    }
+    samples[s].reachable = remote.ok();
+    if (remote.ok()) samples[s].view = std::move(remote).value();
   }
-  if (view.batches > 0) {
-    view.mean_batch_size = batch_size_sum / static_cast<double>(view.batches);
-  }
-  if (!merged_hist.empty()) {
-    view.p50_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.50);
-    view.p95_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.95);
-    view.p99_latency_us = ServerStats::PercentileUsFromHist(merged_hist, 0.99);
-  }
-  for (size_t st = 0; st < ServerStats::kServeStages; ++st) {
-    if (!merged_stage[st].empty()) {
-      view.stage_p99_us[st] =
-          ServerStats::PercentileUsFromHist(merged_stage[st], 0.99);
-    }
-  }
-  view.outlier_rate =
-      view.density_checked > 0
-          ? static_cast<double>(view.density_outliers) /
-                static_cast<double>(view.density_checked)
-          : 0.0;
-  view.min_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::min_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
-  view.max_snapshot_version = view.shard_versions.empty()
-                                  ? 0
-                                  : *std::max_element(
-                                        view.shard_versions.begin(),
-                                        view.shard_versions.end());
-  view.rolling_updates = rolling_updates_.load();
-  view.rollbacks = rollbacks_.load();
+  FleetStatsView view = BuildFleetStatsView(samples);
+  view.rolling_updates = rollout_.rolling_updates();
+  view.rollbacks = rollout_.rollbacks();
   view.ejections = ejections_.load();
   view.readmissions = readmissions_.load();
   return view;

@@ -25,11 +25,13 @@
 //     healthy probes (e.g. after an operator restarts the process).
 //
 // PushRolling drives the incremental snapshot push across the fleet
-// with ScoringFleet::RollingUpdate's semantics: one shard out of
-// rotation at a time, per-shard retry with deterministic
-// backoff+jitter, and on exhaustion a reverse-order revert of every
-// already-committed shard (kPushRevert) so the fleet never stays
-// version-skewed.
+// through the same RolloutEngine (serve/fleet/rollout.h) that runs
+// ScoringFleet::RollingUpdate: one shard out of rotation at a time,
+// per-shard retry with deterministic backoff+jitter, and on exhaustion
+// a reverse-order revert of every already-committed shard (kPushRevert)
+// so the fleet never stays version-skewed. stats() builds its view with
+// the same BuildFleetStatsView the in-process fleet uses. The router
+// process that fronts this fleet is net::Router (serve/net/router.h).
 
 #ifndef FAIRDRIFT_SERVE_NET_REMOTE_FLEET_H_
 #define FAIRDRIFT_SERVE_NET_REMOTE_FLEET_H_
@@ -102,6 +104,16 @@ class RemoteShardClient {
   };
   Result<CommitReply> PushCommit();
 
+  /// The whole push conversation — PushManifest, the chunks the
+  /// receiver asks for, PushCommit — as RemoteFleet::PushRolling runs it
+  /// per shard and `fairdrift_cli push` runs it once.
+  struct PushReply {
+    size_t chunks_sent = 0;
+    uint64_t bytes_sent = 0;
+    CommitReply commit;
+  };
+  Result<PushReply> Push(const ChunkedSnapshot& chunked);
+
   /// Rolls the daemon back to its pre-commit snapshot; returns the
   /// version it serves again.
   Result<uint64_t> PushRevert();
@@ -135,11 +147,6 @@ struct RemoteFleetOptions {
   /// ShardHealthFsm thresholds (same meaning as HealthMonitorOptions).
   size_t dead_after_stalled_probes = 3;
   size_t readmit_after_healthy_probes = 3;
-  /// Attach the trace extension to forwarded score frames, so sampled
-  /// rows on the daemons parent under the router's tier span. Turn off
-  /// only when fronting daemons from a pre-trace protocol build (they
-  /// reject the flag rather than desynchronize).
-  bool propagate_trace = true;
 };
 
 /// Router over N remote shard daemons. See file comment.
@@ -171,20 +178,20 @@ class RemoteFleet : public ShardDirectory {
       std::chrono::nanoseconds deadline = std::chrono::nanoseconds{0});
 
   /// Incremental rolling push (see file comment). Returns the same
-  /// report shape as ScoringFleet::RollingUpdate: kCommitted when every
-  /// shard took the push, kRolledBack (an OK result — the fleet healed
-  /// itself) when a shard exhausted its attempts and the committed
-  /// shards were reverted in reverse order.
+  /// report as ScoringFleet::RollingUpdate (one engine makes both):
+  /// kCommitted when every shard took the push, kRolledBack (an OK
+  /// result — the fleet healed itself) when a shard exhausted its
+  /// attempts and the committed shards were reverted in reverse order.
+  /// Serialized against concurrent pushes.
   Result<RollingUpdateReport> PushRolling(
       const ChunkedSnapshot& chunked,
       const RollingUpdateOptions& options = {});
 
-  /// Fleet-wide stats merged from per-daemon Stats() RPCs: counters
-  /// summed, fleet percentiles from the element-wise merged latency
-  /// histograms (bucket compatibility validated — a daemon from a
-  /// mismatched build is skipped, not misread), audit tallies summed.
-  /// Unreachable shards contribute nothing (num_shards still counts
-  /// them; shard_versions reports 0).
+  /// Fleet-wide stats from one round of per-daemon Stats() RPCs, merged
+  /// by BuildFleetStatsView (bucket compatibility validated — a daemon
+  /// from a mismatched build is skipped, not misread). Unreachable
+  /// shards contribute nothing (num_shards still counts them;
+  /// shard_versions reports the last probed version).
   FleetStatsView stats() const;
 
   /// One synchronous probe sweep (the prober thread's body). Exposed so
@@ -204,7 +211,7 @@ class RemoteFleet : public ShardDirectory {
   size_t num_shards() const override { return clients_.size(); }
   bool ShardAvailable(size_t s) const override {
     return !ejected_[s].load(std::memory_order_acquire) &&
-           !draining_[s].load(std::memory_order_acquire);
+           !rollout_.draining(s);
   }
   size_t ShardLoad(size_t s) const override {
     return last_load_[s].load(std::memory_order_relaxed);
@@ -215,26 +222,21 @@ class RemoteFleet : public ShardDirectory {
   uint64_t readmissions() const { return readmissions_.load(); }
 
  private:
-  explicit RemoteFleet(const RemoteFleetOptions& options);
+  RemoteFleet(const RemoteFleetOptions& options,
+              std::vector<std::unique_ptr<RemoteShardClient>> clients);
 
   void ProbeLoop();
-  /// One shard's complete push conversation (manifest -> chunks ->
-  /// commit). Fills `version` with the committed snapshot version.
-  Status PushShard(size_t s, const ChunkedSnapshot& chunked,
-                   uint64_t* version);
 
   RemoteFleetOptions options_;
   std::vector<std::unique_ptr<RemoteShardClient>> clients_;
-  std::unique_ptr<ShardRouter> router_;
+  ShardRouter router_;
+  RolloutEngine rollout_;
   std::unique_ptr<std::atomic<bool>[]> ejected_;
-  std::unique_ptr<std::atomic<bool>[]> draining_;
   std::unique_ptr<std::atomic<size_t>[]> last_load_;
 
   // Prober state (probe thread or ProbeOnce callers; serialized by mu_).
   struct ProbeState {
     ShardHealthFsm fsm;
-    uint64_t last_completed = 0;
-    bool have_baseline = false;
     uint64_t last_version = 0;
   };
   mutable std::mutex mu_;
@@ -246,8 +248,6 @@ class RemoteFleet : public ShardDirectory {
 
   std::atomic<uint64_t> ejections_{0};
   std::atomic<uint64_t> readmissions_{0};
-  std::atomic<uint64_t> rolling_updates_{0};
-  std::atomic<uint64_t> rollbacks_{0};
 };
 
 }  // namespace net

@@ -2,9 +2,7 @@
 
 #include <utility>
 
-#include "serve/net/wire.h"
 #include "serve/trace/trace_context.h"
-#include "util/fault.h"
 #include "util/timer.h"
 
 namespace fairdrift {
@@ -77,112 +75,37 @@ Result<std::unique_ptr<ShardDaemon>> ShardDaemon::Start(
   // shares four of five chunks with ours sends one chunk, not five.
   Result<ChunkedSnapshot> chunked = ChunkSnapshot(*snapshot);
   if (!chunked.ok()) return chunked.status();
-  daemon->current_manifest_ = chunked.value().manifest;
   for (SnapshotPayloadChunk& chunk : chunked.value().chunks) {
     daemon->current_chunks_[chunk.name] = std::move(chunk.bytes);
   }
 
-  Result<TcpListener> listener = TcpListener::Listen(options.host,
-                                                     options.port);
-  if (!listener.ok()) return listener.status();
-  daemon->listener_ = std::move(listener).value();
-
-  daemon->accept_thread_ = std::thread([raw] { raw->AcceptLoop(); });
+  Result<std::unique_ptr<FrameServer>> frame_server = FrameServer::Start(
+      options.host, options.port, options.io_timeout,
+      [raw](const Frame& frame) { return raw->HandleFrame(frame); });
+  if (!frame_server.ok()) return frame_server.status();
+  daemon->frame_server_ = std::move(frame_server).value();
   return daemon;
 }
 
 ShardDaemon::~ShardDaemon() { Stop(); }
 
 void ShardDaemon::Stop() {
-  // call_once serializes concurrent stoppers: exactly one runs the join
-  // sequence, and every caller returns only after it has completed --
-  // no two threads ever join the same std::thread.
-  std::call_once(stop_once_, [this] { StopImpl(); });
-}
-
-void ShardDaemon::StopImpl() {
-  stop_.store(true);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<ConnThread> conns;
-  {
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conns.swap(conn_threads_);
-  }
-  for (ConnThread& c : conns) {
-    if (c.thread.joinable()) c.thread.join();
-  }
-  listener_.Close();
+  // Both stops are once-only and return only after completing, so
+  // concurrent callers are safe.
+  if (frame_server_) frame_server_->Stop();
   if (server_) server_->Stop();
 }
 
 ShardDaemon::Counters ShardDaemon::counters() const {
-  std::lock_guard<std::mutex> lock(counter_mu_);
-  return counters_;
-}
-
-void ShardDaemon::AcceptLoop() {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    ReapFinishedConnections();
-    Result<TcpConnection> conn = listener_.Accept(options_.poll_tick);
-    if (!conn.ok()) continue;  // poll tick elapsed, or a transient failure
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.connections_accepted;
-    }
-    auto done = std::make_shared<std::atomic<bool>>(false);
-    std::lock_guard<std::mutex> lock(conn_mu_);
-    conn_threads_.push_back(ConnThread{
-        std::thread(&ShardDaemon::ServeConnection, this,
-                    std::move(conn).value(), done),
-        done});
+  Counters counters;
+  {
+    std::lock_guard<std::mutex> lock(counter_mu_);
+    counters = counters_;
   }
-}
-
-void ShardDaemon::ReapFinishedConnections() {
-  std::lock_guard<std::mutex> lock(conn_mu_);
-  for (auto it = conn_threads_.begin(); it != conn_threads_.end();) {
-    if (it->done->load(std::memory_order_acquire)) {
-      it->thread.join();
-      it = conn_threads_.erase(it);
-    } else {
-      ++it;
-    }
+  if (frame_server_) {
+    static_cast<FrameServer::Counters&>(counters) = frame_server_->counters();
   }
-}
-
-void ShardDaemon::ServeConnection(TcpConnection conn,
-                                  std::shared_ptr<std::atomic<bool>> done) {
-  while (!stop_.load(std::memory_order_relaxed)) {
-    // Idle connections park in short readability polls so Stop() is
-    // never stuck behind a silent peer; only an actual frame start pays
-    // the full io_timeout read.
-    if (!conn.WaitReadable(options_.poll_tick)) continue;
-    Result<Frame> frame = ReadFrame(conn, options_.io_timeout);
-    if (!frame.ok()) {
-      // kUnavailable here is normally just the peer hanging up; anything
-      // else (checksum, desync, timeout) is worth reporting back if the
-      // socket still works. Either way this connection is done — a
-      // desynchronized stream cannot be re-framed.
-      if (frame.status().code() != StatusCode::kUnavailable) {
-        std::lock_guard<std::mutex> lock(counter_mu_);
-        ++counters_.frame_errors;
-      }
-      (void)WriteErrorFrame(conn, frame.status(), options_.io_timeout);
-      break;
-    }
-    Frame reply = HandleFrame(frame.value());
-    {
-      std::lock_guard<std::mutex> lock(counter_mu_);
-      ++counters_.frames_served;
-      if (reply.type == FrameType::kError) ++counters_.frame_errors;
-    }
-    if (!WriteFrame(conn, reply.type, reply.payload, options_.io_timeout)
-             .ok()) {
-      break;
-    }
-  }
-  conn.Close();
-  done->store(true, std::memory_order_release);
+  return counters;
 }
 
 Frame ShardDaemon::HandleFrame(const Frame& frame) {
@@ -195,10 +118,19 @@ Frame ShardDaemon::HandleFrame(const Frame& frame) {
       return HandleStatsSnapshot();
     case FrameType::kMetrics:
       return HandleMetrics();
-    case FrameType::kPushManifest:
-      return HandlePushManifest(frame);
-    case FrameType::kPushChunk:
-      return HandlePushChunk(frame);
+    case FrameType::kPushManifest: {
+      std::lock_guard<std::mutex> lock(push_mu_);
+      return staging_.OnManifest(frame, current_chunks_);
+    }
+    case FrameType::kPushChunk: {
+      std::lock_guard<std::mutex> lock(push_mu_);
+      Frame reply = staging_.OnChunk(frame);
+      if (reply.type == FrameType::kPushChunkReply) {
+        std::lock_guard<std::mutex> counters(counter_mu_);
+        ++counters_.push_chunks_received;
+      }
+      return reply;
+    }
     case FrameType::kPushCommit:
       return HandlePushCommit();
     case FrameType::kPushRevert:
@@ -208,13 +140,6 @@ Frame ShardDaemon::HandleFrame(const Frame& frame) {
           std::string("shard daemon cannot serve frame type ") +
           FrameTypeName(frame.type)));
   }
-}
-
-Frame ShardDaemon::ErrorFrame(const Status& error) {
-  BinaryWriter w;
-  w.WriteU8(static_cast<uint8_t>(error.code()));
-  w.WriteString(error.message());
-  return Frame{FrameType::kError, std::move(w).TakeBuffer()};
 }
 
 Frame ShardDaemon::HandleScoreBatch(const Frame& frame) {
@@ -302,96 +227,20 @@ Frame ShardDaemon::HandleMetrics() {
   return Frame{FrameType::kMetricsReply, metrics_.RenderText()};
 }
 
-Frame ShardDaemon::HandlePushManifest(const Frame& frame) {
-  BinaryReader r(frame.payload);
-  Result<SnapshotManifest> manifest = DeserializeManifest(&r);
-  if (!manifest.ok()) return ErrorFrame(manifest.status());
-
-  std::lock_guard<std::mutex> lock(push_mu_);
-  pending_manifest_ = std::move(manifest).value();
-  pending_chunks_.clear();
-  pending_valid_ = true;
-
-  // Reply with the names of the chunks we cannot reuse — a chunk whose
-  // bytes we already hold (same name, size, and checksum) never travels.
-  std::vector<std::string> needed;
-  for (const SnapshotChunkInfo& info : pending_manifest_.chunks) {
-    auto held = current_chunks_.find(info.name);
-    bool reusable = held != current_chunks_.end() &&
-                    held->second.size() == info.size &&
-                    Fnv1aHash(held->second.data(), held->second.size()) ==
-                        info.checksum;
-    if (!reusable) needed.push_back(info.name);
-  }
-  BinaryWriter w;
-  w.WriteU64(needed.size());
-  for (const std::string& name : needed) w.WriteString(name);
-  return Frame{FrameType::kPushManifestReply, std::move(w).TakeBuffer()};
-}
-
-Frame ShardDaemon::HandlePushChunk(const Frame& frame) {
-  BinaryReader r(frame.payload);
-  Result<std::string> name = r.ReadString();
-  if (!name.ok()) return ErrorFrame(name.status());
-  Result<std::string> bytes = r.ReadString();
-  if (!bytes.ok()) return ErrorFrame(bytes.status());
-
-  std::lock_guard<std::mutex> lock(push_mu_);
-  if (!pending_valid_) {
-    return ErrorFrame(Status::FailedPrecondition(
-        "push chunk without a pending manifest (send kPushManifest first)"));
-  }
-  size_t index = pending_manifest_.FindChunk(name.value());
-  if (index == static_cast<size_t>(-1)) {
-    return ErrorFrame(Status::InvalidArgument(
-        "pushed chunk '" + name.value() + "' is not in the pending manifest"));
-  }
-  const SnapshotChunkInfo& info = pending_manifest_.chunks[index];
-  if (FAULT_POINT_ARG("net.push.chunk", static_cast<uint64_t>(index)) ||
-      bytes.value().size() != info.size ||
-      Fnv1aHash(bytes.value().data(), bytes.value().size()) != info.checksum) {
-    return ErrorFrame(Status::DataLoss(
-        "pushed chunk '" + name.value() +
-        "' does not match its manifest entry (size or checksum)"));
-  }
-  pending_chunks_[info.name] = std::move(bytes).value();
-  {
-    std::lock_guard<std::mutex> counters(counter_mu_);
-    ++counters_.push_chunks_received;
-  }
-  return Frame{FrameType::kPushChunkReply, std::string()};
-}
-
 Frame ShardDaemon::HandlePushCommit() {
   std::lock_guard<std::mutex> lock(push_mu_);
-  if (!pending_valid_) {
-    return ErrorFrame(Status::FailedPrecondition(
-        "push commit without a pending manifest"));
-  }
-  // Assemble the full payload: staged chunks where the pusher sent new
-  // bytes, our held chunks where the manifest said they were unchanged.
-  std::vector<SnapshotPayloadChunk> chunks;
-  chunks.reserve(pending_manifest_.chunks.size());
-  for (const SnapshotChunkInfo& info : pending_manifest_.chunks) {
-    auto staged = pending_chunks_.find(info.name);
-    if (staged != pending_chunks_.end()) {
-      chunks.push_back({info.name, staged->second});
-      continue;
-    }
-    auto held = current_chunks_.find(info.name);
-    if (held == current_chunks_.end()) {
-      return ErrorFrame(Status::FailedPrecondition(
-          "chunk '" + info.name +
-          "' was neither pushed nor already held; cannot commit"));
-    }
-    chunks.push_back({info.name, held->second});
-  }
-  Result<std::string> payload = AssemblePayload(pending_manifest_, chunks);
+  // Staged chunks where the pusher sent new bytes, our held chunks where
+  // the manifest said they were unchanged.
+  Result<ChunkedSnapshot> pending = staging_.Pending(current_chunks_);
+  if (!pending.ok()) return ErrorFrame(pending.status());
+  const SnapshotManifest& manifest = pending.value().manifest;
+  std::vector<SnapshotPayloadChunk>& chunks = pending.value().chunks;
+  Result<std::string> payload = AssemblePayload(manifest, chunks);
   if (!payload.ok()) return ErrorFrame(payload.status());
 
   SnapshotLoadReport report;
   Result<std::shared_ptr<const ModelSnapshot>> parsed = ParseSnapshotPayload(
-      pending_manifest_.snapshot_format_version, payload.value().data(),
+      manifest.snapshot_format_version, payload.value().data(),
       payload.value().size(), options_.push_load_mode, &report,
       "pushed snapshot");
   if (!parsed.ok()) return ErrorFrame(parsed.status());
@@ -399,18 +248,15 @@ Frame ShardDaemon::HandlePushCommit() {
   // Keep a one-deep revert history, then swap. In-flight batches finish
   // on the snapshot they grabbed — the swap drops nothing.
   previous_snapshot_ = server_->CurrentSnapshot();
-  previous_manifest_ = current_manifest_;
   previous_chunks_ = current_chunks_;
   Status swapped = server_->UpdateSnapshot(parsed.value());
   if (!swapped.ok()) return ErrorFrame(swapped);
 
-  current_manifest_ = pending_manifest_;
   current_chunks_.clear();
   for (SnapshotPayloadChunk& chunk : chunks) {
     current_chunks_[chunk.name] = std::move(chunk.bytes);
   }
-  pending_valid_ = false;
-  pending_chunks_.clear();
+  staging_.Clear();
 
   std::string note = report.degraded_note;
   if (!options_.state_dir.empty()) {
@@ -436,15 +282,13 @@ Frame ShardDaemon::HandlePushCommit() {
 
 Frame ShardDaemon::HandlePushRevert() {
   std::lock_guard<std::mutex> lock(push_mu_);
-  pending_valid_ = false;
-  pending_chunks_.clear();
+  staging_.Clear();
   if (previous_snapshot_ == nullptr) {
     return ErrorFrame(Status::FailedPrecondition(
         "no committed push to revert"));
   }
   Status swapped = server_->UpdateSnapshot(previous_snapshot_);
   if (!swapped.ok()) return ErrorFrame(swapped);
-  current_manifest_ = previous_manifest_;
   current_chunks_ = previous_chunks_;
   uint64_t version = previous_snapshot_->version();
   previous_snapshot_.reset();

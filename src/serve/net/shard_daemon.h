@@ -3,12 +3,9 @@
 // The daemon wraps a single in-process ScoringServer with a TCP
 // listener speaking net/frame.h frames: score-batch, health-probe,
 // stats-snapshot, and the three-phase snapshot-push RPCs
-// (manifest -> chunks -> commit, plus revert). One accept loop polls
-// the listener (reaping finished handler threads each tick); each
-// accepted connection gets its own handler thread with deadline-bounded
-// reads, so a frame-level error on one
-// connection (checksum mismatch, injected partial read, dead client)
-// closes that connection and nothing else.
+// (manifest -> chunks -> commit, plus revert). Connections are served
+// by the shared net::FrameServer (net/frame_server.h — the router runs
+// on the same one); this class is only the frame handler.
 //
 // Push protocol (receiver side):
 //   kPushManifest  the pusher's SnapshotManifest. The daemon diffs it
@@ -18,7 +15,9 @@
 //                  it needs -- an unchanged artifact never travels.
 //   kPushChunk     one named chunk; verified against the pending
 //                  manifest's size + FNV-1a before staging. Fault site
-//                  "net.push.chunk" rejects here with kDataLoss.
+//                  "net.push.chunk" rejects here with kDataLoss. The
+//                  manifest diff and chunk staging are the shared
+//                  PushStaging (serve/net/wire.h) the router also uses.
 //   kPushCommit    assembles pending + reusable current chunks into the
 //                  full payload, re-verifies the whole-payload checksum,
 //                  parses it (kAllowPartial: a damaged monitor tail
@@ -33,17 +32,14 @@
 #ifndef FAIRDRIFT_SERVE_NET_SHARD_DAEMON_H_
 #define FAIRDRIFT_SERVE_NET_SHARD_DAEMON_H_
 
-#include <atomic>
 #include <chrono>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "net/frame.h"
-#include "net/socket.h"
+#include "net/frame_server.h"
+#include "serve/net/wire.h"
 #include "serve/server.h"
 #include "serve/snapshot_manifest.h"
 #include "serve/trace/metrics_registry.h"
@@ -66,8 +62,6 @@ struct ShardDaemonOptions {
   /// Per-frame send/receive deadline. A peer that stalls mid-frame is
   /// disconnected with kDeadlineExceeded rather than wedging a handler.
   std::chrono::milliseconds io_timeout = std::chrono::milliseconds(5000);
-  /// Accept/readability poll tick (stop-flag latency bound).
-  std::chrono::milliseconds poll_tick = std::chrono::milliseconds(50);
   /// How strictly pushed payloads parse. kAllowPartial (default) lets a
   /// push whose monitor tail is damaged serve degraded, mirroring the
   /// file loader.
@@ -95,7 +89,7 @@ class ShardDaemon {
   ShardDaemon& operator=(const ShardDaemon&) = delete;
 
   /// The bound port (resolved for ephemeral binds).
-  uint16_t port() const { return listener_.port(); }
+  uint16_t port() const { return frame_server_->port(); }
 
   /// The wrapped server (test/CLI introspection; the daemon owns it).
   ScoringServer* server() { return server_.get(); }
@@ -107,11 +101,8 @@ class ShardDaemon {
   /// may register additional instruments/collectors before traffic.
   MetricsRegistry* metrics() { return &metrics_; }
 
-  /// Wire activity counters.
-  struct Counters {
-    uint64_t connections_accepted = 0;
-    uint64_t frames_served = 0;
-    uint64_t frame_errors = 0;   ///< error frames sent to peers
+  /// Wire activity counters (the FrameServer's plus the push RPCs').
+  struct Counters : FrameServer::Counters {
     uint64_t push_commits = 0;
     uint64_t push_reverts = 0;
     uint64_t push_chunks_received = 0;
@@ -125,24 +116,13 @@ class ShardDaemon {
  private:
   ShardDaemon() = default;
 
-  void AcceptLoop();
-  void StopImpl();
-  /// Joins handler threads whose connection has finished, so a
-  /// long-running daemon never holds a joinable pthread per client it
-  /// has ever served. Runs on the accept loop's poll tick.
-  void ReapFinishedConnections();
-  void ServeConnection(TcpConnection conn,
-                       std::shared_ptr<std::atomic<bool>> done);
   /// Dispatches one request frame; returns the reply frame to send.
   Frame HandleFrame(const Frame& frame);
-  Frame ErrorFrame(const Status& error);
 
   Frame HandleScoreBatch(const Frame& frame);
   Frame HandleHealthProbe();
   Frame HandleStatsSnapshot();
   Frame HandleMetrics();
-  Frame HandlePushManifest(const Frame& frame);
-  Frame HandlePushChunk(const Frame& frame);
   Frame HandlePushCommit();
   Frame HandlePushRevert();
 
@@ -153,32 +133,18 @@ class ShardDaemon {
   std::unique_ptr<TraceLog> trace_log_;
   MetricsRegistry metrics_;
   std::unique_ptr<ScoringServer> server_;
-  TcpListener listener_;
-  std::atomic<bool> stop_{false};
-  std::once_flag stop_once_;
-  std::thread accept_thread_;
-
-  /// One handler thread per live connection; `done` flips when the
-  /// handler exits so the accept loop can reap (join) it.
-  struct ConnThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex conn_mu_;
-  std::vector<ConnThread> conn_threads_;
+  /// Stopped first by Stop() (and so by the destructor): no connection
+  /// thread outlives the state its handler touches.
+  std::unique_ptr<FrameServer> frame_server_;
 
   // Push state (one push in flight at a time; conn threads serialize on
-  // push_mu_). current_* describes the snapshot the server serves;
-  // previous_* is the one-deep revert history.
+  // push_mu_). current_chunks_ is the chunk set of the snapshot the
+  // server serves; previous_* is the one-deep revert history.
   std::mutex push_mu_;
-  SnapshotManifest current_manifest_;
-  std::map<std::string, std::string> current_chunks_;
-  bool pending_valid_ = false;
-  SnapshotManifest pending_manifest_;
-  std::map<std::string, std::string> pending_chunks_;
+  PushStaging::ChunkMap current_chunks_;
+  PushStaging staging_;
   std::shared_ptr<const ModelSnapshot> previous_snapshot_;
-  SnapshotManifest previous_manifest_;
-  std::map<std::string, std::string> previous_chunks_;
+  PushStaging::ChunkMap previous_chunks_;
 
   mutable std::mutex counter_mu_;
   Counters counters_;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "util/fault.h"
+
 namespace fairdrift {
 namespace net {
 namespace {
@@ -10,6 +12,33 @@ namespace {
 constexpr uint64_t kMaxRowsPerBatch = 1u << 20;
 constexpr uint64_t kMaxRowWidth = 1u << 16;
 constexpr uint64_t kMaxHistBuckets = 1u << 16;
+
+// One decoded field into its destination: the typed-status plumbing
+// every decoder below shares.
+template <typename T, typename U>
+Status ReadInto(Result<T> value, U* dst) {
+  if (!value.ok()) return value.status();
+  *dst = static_cast<U>(std::move(value).value());
+  return Status::OK();
+}
+Status ReadField(BinaryReader* r, uint64_t* dst) {
+  return ReadInto(r->ReadU64(), dst);
+}
+Status ReadField(BinaryReader* r, int* dst) {
+  return ReadInto(r->ReadI32(), dst);
+}
+Status ReadField(BinaryReader* r, double* dst) {
+  return ReadInto(r->ReadDouble(), dst);
+}
+Status ReadField(BinaryReader* r, std::string* dst) {
+  return ReadInto(r->ReadString(), dst);
+}
+Status ReadField(BinaryReader* r, bool* dst) {
+  uint8_t v = 0;
+  FAIRDRIFT_RETURN_IF_ERROR(ReadInto(r->ReadU8(), &v));
+  *dst = v != 0;
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -21,15 +50,9 @@ void SerializeScoreRequest(const WireScoreRequest& request, BinaryWriter* w) {
 
 Result<WireScoreRequest> DeserializeScoreRequest(BinaryReader* r) {
   WireScoreRequest request;
-  Result<uint64_t> width = r->ReadU64();
-  if (!width.ok()) return width.status();
-  request.width = width.value();
-  Result<uint64_t> deadline = r->ReadU64();
-  if (!deadline.ok()) return deadline.status();
-  request.deadline_ns = deadline.value();
-  Result<std::vector<double>> rows = r->ReadDoubleVector();
-  if (!rows.ok()) return rows.status();
-  request.rows = std::move(rows).value();
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &request.width));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &request.deadline_ns));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadInto(r->ReadDoubleVector(), &request.rows));
   if (request.width == 0 || request.width > kMaxRowWidth) {
     return Status::DataLoss("score request has an implausible row width");
   }
@@ -71,42 +94,19 @@ Result<std::vector<WireRowOutcome>> DeserializeRowOutcomes(BinaryReader* r) {
   outcomes.reserve(count.value());
   for (uint64_t i = 0; i < count.value(); ++i) {
     WireRowOutcome outcome;
-    Result<uint8_t> code = r->ReadU8();
-    if (!code.ok()) return code.status();
-    outcome.code = static_cast<StatusCode>(code.value());
-    Result<std::string> message = r->ReadString();
-    if (!message.ok()) return message.status();
-    outcome.message = std::move(message).value();
-    Result<double> probability = r->ReadDouble();
-    if (!probability.ok()) return probability.status();
-    outcome.result.probability = probability.value();
-    Result<int32_t> label = r->ReadI32();
-    if (!label.ok()) return label.status();
-    outcome.result.label = label.value();
-    Result<int32_t> routed = r->ReadI32();
-    if (!routed.ok()) return routed.status();
-    outcome.result.routed_group = routed.value();
-    Result<double> margin = r->ReadDouble();
-    if (!margin.ok()) return margin.status();
-    outcome.result.margin = margin.value();
-    Result<double> log_density = r->ReadDouble();
-    if (!log_density.ok()) return log_density.status();
-    outcome.result.log_density = log_density.value();
-    Result<uint8_t> outlier = r->ReadU8();
-    if (!outlier.ok()) return outlier.status();
-    outcome.result.density_outlier = outlier.value() != 0;
-    Result<uint8_t> checked = r->ReadU8();
-    if (!checked.ok()) return checked.status();
-    outcome.result.density_checked = checked.value() != 0;
-    Result<uint64_t> version = r->ReadU64();
-    if (!version.ok()) return version.status();
-    outcome.result.snapshot_version = version.value();
-    Result<int32_t> group = r->ReadI32();
-    if (!group.ok()) return group.status();
-    outcome.result.group = group.value();
-    Result<uint64_t> trace_id = r->ReadU64();
-    if (!trace_id.ok()) return trace_id.status();
-    outcome.result.trace_id = trace_id.value();
+    ScoreResult& res = outcome.result;
+    FAIRDRIFT_RETURN_IF_ERROR(ReadInto(r->ReadU8(), &outcome.code));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &outcome.message));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.probability));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.label));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.routed_group));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.margin));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.log_density));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.density_outlier));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.density_checked));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.snapshot_version));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.group));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &res.trace_id));
     outcomes.push_back(std::move(outcome));
   }
   return outcomes;
@@ -121,18 +121,10 @@ void SerializeHealthProbe(const WireHealthProbe& probe, BinaryWriter* w) {
 
 Result<WireHealthProbe> DeserializeHealthProbe(BinaryReader* r) {
   WireHealthProbe probe;
-  Result<uint64_t> completed = r->ReadU64();
-  if (!completed.ok()) return completed.status();
-  probe.completed = completed.value();
-  Result<uint64_t> queue_depth = r->ReadU64();
-  if (!queue_depth.ok()) return queue_depth.status();
-  probe.queue_depth = queue_depth.value();
-  Result<uint64_t> inflight = r->ReadU64();
-  if (!inflight.ok()) return inflight.status();
-  probe.inflight_batches = inflight.value();
-  Result<uint64_t> version = r->ReadU64();
-  if (!version.ok()) return version.status();
-  probe.snapshot_version = version.value();
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &probe.completed));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &probe.queue_depth));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &probe.inflight_batches));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &probe.snapshot_version));
   return probe;
 }
 
@@ -198,63 +190,117 @@ void SerializeStatsView(const ServerStats::View& view, BinaryWriter* w) {
 
 Result<ServerStats::View> DeserializeStatsView(BinaryReader* r) {
   ServerStats::View view;
-  auto read_u64 = [&](uint64_t* dst) -> Status {
-    Result<uint64_t> v = r->ReadU64();
-    if (!v.ok()) return v.status();
-    *dst = v.value();
-    return Status::OK();
-  };
-  auto read_double = [&](double* dst) -> Status {
-    Result<double> v = r->ReadDouble();
-    if (!v.ok()) return v.status();
-    *dst = v.value();
-    return Status::OK();
-  };
-  auto read_bool = [&](bool* dst) -> Status {
-    Result<uint8_t> v = r->ReadU8();
-    if (!v.ok()) return v.status();
-    *dst = v.value() != 0;
-    return Status::OK();
-  };
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.submitted));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.completed));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.shed_admission));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.shed_deadline));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.invalid));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.batches));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.snapshot_swaps));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.mean_batch_size));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.p50_latency_us));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.p95_latency_us));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.p99_latency_us));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.ewma_batch_latency_us));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.density_checked));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.density_outliers));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.ewma_outlier_rate));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.audit_windows));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.audit_breaches));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.audit_alerts_raised));
-  FAIRDRIFT_RETURN_IF_ERROR(read_bool(&view.audit_alert_active));
-  FAIRDRIFT_RETURN_IF_ERROR(read_bool(&view.audit_has_metrics));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.audit_last_di_star));
-  FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.audit_last_spd));
-  Result<std::vector<uint64_t>> batch_hist = ReadU64Hist(r);
-  if (!batch_hist.ok()) return batch_hist.status();
-  view.batch_size_hist = std::move(batch_hist).value();
-  Result<std::vector<uint64_t>> latency_hist = ReadU64Hist(r);
-  if (!latency_hist.ok()) return latency_hist.status();
-  view.latency_hist = std::move(latency_hist).value();
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.trace_sampled));
-  FAIRDRIFT_RETURN_IF_ERROR(read_u64(&view.trace_append_failures));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.submitted));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.completed));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.shed_admission));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.shed_deadline));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.invalid));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.batches));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.snapshot_swaps));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.mean_batch_size));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.p50_latency_us));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.p95_latency_us));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.p99_latency_us));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.ewma_batch_latency_us));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.density_checked));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.density_outliers));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.ewma_outlier_rate));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_windows));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_breaches));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_alerts_raised));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_alert_active));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_has_metrics));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_last_di_star));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.audit_last_spd));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadInto(ReadU64Hist(r), &view.batch_size_hist));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadInto(ReadU64Hist(r), &view.latency_hist));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.trace_sampled));
+  FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.trace_append_failures));
   for (size_t s = 0; s < ServerStats::kServeStages; ++s) {
-    FAIRDRIFT_RETURN_IF_ERROR(read_double(&view.stage_p99_us[s]));
+    FAIRDRIFT_RETURN_IF_ERROR(ReadField(r, &view.stage_p99_us[s]));
   }
   for (size_t s = 0; s < ServerStats::kServeStages; ++s) {
-    Result<std::vector<uint64_t>> stage_hist = ReadU64Hist(r);
-    if (!stage_hist.ok()) return stage_hist.status();
-    view.stage_hist[s] = std::move(stage_hist).value();
+    FAIRDRIFT_RETURN_IF_ERROR(ReadInto(ReadU64Hist(r), &view.stage_hist[s]));
   }
   return view;
+}
+
+Frame PushStaging::OnManifest(const Frame& frame, const ChunkMap& held) {
+  BinaryReader r(frame.payload);
+  Result<SnapshotManifest> manifest = DeserializeManifest(&r);
+  if (!manifest.ok()) return ErrorFrame(manifest.status());
+  manifest_ = std::move(manifest).value();
+  chunks_.clear();
+  pending_ = true;
+  std::vector<std::string> needed;
+  for (const SnapshotChunkInfo& info : manifest_.chunks) {
+    auto it = held.find(info.name);
+    bool reusable = it != held.end() && it->second.size() == info.size &&
+                    Fnv1aHash(it->second.data(), it->second.size()) ==
+                        info.checksum;
+    if (!reusable) needed.push_back(info.name);
+  }
+  BinaryWriter w;
+  w.WriteU64(needed.size());
+  for (const std::string& name : needed) w.WriteString(name);
+  return Frame{FrameType::kPushManifestReply, std::move(w).TakeBuffer()};
+}
+
+Frame PushStaging::OnChunk(const Frame& frame) {
+  BinaryReader r(frame.payload);
+  Result<std::string> name = r.ReadString();
+  if (!name.ok()) return ErrorFrame(name.status());
+  Result<std::string> bytes = r.ReadString();
+  if (!bytes.ok()) return ErrorFrame(bytes.status());
+  if (!pending_) {
+    return ErrorFrame(Status::FailedPrecondition(
+        "push chunk without a pending manifest (send kPushManifest first)"));
+  }
+  size_t index = manifest_.FindChunk(name.value());
+  if (index == static_cast<size_t>(-1)) {
+    return ErrorFrame(Status::InvalidArgument(
+        "pushed chunk '" + name.value() + "' is not in the pending manifest"));
+  }
+  const SnapshotChunkInfo& info = manifest_.chunks[index];
+  if (FAULT_POINT_ARG("net.push.chunk", static_cast<uint64_t>(index)) ||
+      bytes.value().size() != info.size ||
+      Fnv1aHash(bytes.value().data(), bytes.value().size()) != info.checksum) {
+    return ErrorFrame(Status::DataLoss(
+        "pushed chunk '" + name.value() +
+        "' does not match its manifest entry (size or checksum)"));
+  }
+  chunks_[info.name] = std::move(bytes).value();
+  return Frame{FrameType::kPushChunkReply, std::string()};
+}
+
+Result<ChunkedSnapshot> PushStaging::Pending(const ChunkMap& held) const {
+  if (!pending_) {
+    return Status::FailedPrecondition(
+        "push commit without a pending manifest");
+  }
+  ChunkedSnapshot pending;
+  pending.manifest = manifest_;
+  pending.chunks.reserve(manifest_.chunks.size());
+  for (const SnapshotChunkInfo& info : manifest_.chunks) {
+    auto staged = chunks_.find(info.name);
+    if (staged != chunks_.end()) {
+      pending.chunks.push_back({info.name, staged->second});
+      continue;
+    }
+    auto it = held.find(info.name);
+    if (it == held.end()) {
+      return Status::FailedPrecondition(
+          "chunk '" + info.name +
+          "' was neither pushed nor already held; cannot commit");
+    }
+    pending.chunks.push_back({info.name, it->second});
+  }
+  return pending;
+}
+
+void PushStaging::Clear() {
+  pending_ = false;
+  chunks_.clear();
 }
 
 }  // namespace net

@@ -12,11 +12,14 @@
 #ifndef FAIRDRIFT_SERVE_NET_WIRE_H_
 #define FAIRDRIFT_SERVE_NET_WIRE_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
+#include "net/frame.h"
 #include "serve/server_stats.h"
 #include "serve/snapshot.h"
+#include "serve/snapshot_manifest.h"
 #include "util/binary_io.h"
 #include "util/status.h"
 
@@ -67,6 +70,40 @@ Result<WireHealthProbe> DeserializeHealthProbe(BinaryReader* r);
 /// merging (ServerStats::MergeHistogramInto).
 void SerializeStatsView(const ServerStats::View& view, BinaryWriter* w);
 Result<ServerStats::View> DeserializeStatsView(BinaryReader* r);
+
+/// Receiver side of the incremental push (kPushManifest -> kPushChunk*
+/// -> kPushCommit), shared by the shard daemon and the router: the
+/// pending manifest plus the chunks pushed against it, each verified
+/// before it is kept. Not thread-safe; the owner serializes calls.
+class PushStaging {
+ public:
+  using ChunkMap = std::map<std::string, std::string>;
+
+  /// kPushManifest: starts a new pending push and replies with the names
+  /// of the manifest chunks `held` cannot supply — a held chunk with the
+  /// same name, size, and FNV-1a never travels. (A router holds no
+  /// chunks, so it asks for all of them.)
+  Frame OnManifest(const Frame& frame, const ChunkMap& held);
+
+  /// kPushChunk: verifies one chunk against its pending-manifest entry
+  /// (size + FNV-1a; fault site "net.push.chunk" rejects here with
+  /// kDataLoss) and stages it.
+  Frame OnChunk(const Frame& frame);
+
+  /// What kPushCommit assembles: the pending manifest with every chunk,
+  /// staged where pushed and taken from `held` otherwise.
+  /// kFailedPrecondition without a pending manifest, or when a chunk was
+  /// neither pushed nor held.
+  Result<ChunkedSnapshot> Pending(const ChunkMap& held) const;
+
+  /// Drops the pending push (after a commit, or on kPushRevert).
+  void Clear();
+
+ private:
+  bool pending_ = false;
+  SnapshotManifest manifest_;
+  ChunkMap chunks_;
+};
 
 }  // namespace net
 }  // namespace fairdrift

@@ -218,4 +218,55 @@ Status ServerStats::MergeHistogramInto(std::vector<uint64_t>* dst,
   return Status::OK();
 }
 
+ServerStats::View ServerStats::MergeViews(const std::vector<View>& views) {
+  View merged;
+  merged.latency_hist.assign(kLatencyBuckets, 0);
+  merged.batch_size_hist.assign(kBatchBuckets, 0);
+  for (auto& h : merged.stage_hist) h.assign(kLatencyBuckets, 0);
+  double batch_size_sum = 0.0;
+  for (const View& v : views) {
+    merged.submitted += v.submitted;
+    merged.completed += v.completed;
+    merged.shed_admission += v.shed_admission;
+    merged.shed_deadline += v.shed_deadline;
+    merged.invalid += v.invalid;
+    merged.batches += v.batches;
+    merged.snapshot_swaps += v.snapshot_swaps;
+    batch_size_sum += v.mean_batch_size * static_cast<double>(v.batches);
+    merged.ewma_batch_latency_us =
+        std::max(merged.ewma_batch_latency_us, v.ewma_batch_latency_us);
+    merged.density_checked += v.density_checked;
+    merged.density_outliers += v.density_outliers;
+    merged.ewma_outlier_rate =
+        std::max(merged.ewma_outlier_rate, v.ewma_outlier_rate);
+    merged.audit_windows += v.audit_windows;
+    merged.audit_breaches += v.audit_breaches;
+    merged.audit_alerts_raised += v.audit_alerts_raised;
+    merged.audit_alert_active |= v.audit_alert_active;
+    if (v.audit_has_metrics) {
+      merged.audit_has_metrics = true;
+      merged.audit_last_di_star = v.audit_last_di_star;
+      merged.audit_last_spd = v.audit_last_spd;
+    }
+    merged.trace_sampled += v.trace_sampled;
+    merged.trace_append_failures += v.trace_append_failures;
+    (void)MergeHistogramInto(&merged.batch_size_hist, v.batch_size_hist);
+    (void)MergeHistogramInto(&merged.latency_hist, v.latency_hist);
+    for (size_t s = 0; s < kServeStages; ++s) {
+      (void)MergeHistogramInto(&merged.stage_hist[s], v.stage_hist[s]);
+    }
+  }
+  if (merged.batches > 0) {
+    merged.mean_batch_size =
+        batch_size_sum / static_cast<double>(merged.batches);
+  }
+  merged.p50_latency_us = PercentileUsFromHist(merged.latency_hist, 0.50);
+  merged.p95_latency_us = PercentileUsFromHist(merged.latency_hist, 0.95);
+  merged.p99_latency_us = PercentileUsFromHist(merged.latency_hist, 0.99);
+  for (size_t s = 0; s < kServeStages; ++s) {
+    merged.stage_p99_us[s] = PercentileUsFromHist(merged.stage_hist[s], 0.99);
+  }
+  return merged;
+}
+
 }  // namespace fairdrift

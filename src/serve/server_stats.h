@@ -174,6 +174,15 @@ class ServerStats {
   static Status MergeHistogramInto(std::vector<uint64_t>* dst,
                                    const std::vector<uint64_t>& src);
 
+  /// The one merge of several servers' views (a fleet's shards, a
+  /// router's daemons): counters summed, histograms merged element-wise
+  /// into kLatencyBuckets / kBatchBuckets zeros — a view whose bucket
+  /// count disagrees (a mismatched build) is skipped, never taken as the
+  /// reference — and percentiles recomputed from the merged counts,
+  /// never averaged. The EWMAs take the worst shard; the latest audit
+  /// metrics come from the last view that has them.
+  static View MergeViews(const std::vector<View>& views);
+
  private:
   static std::memory_order rel() { return std::memory_order_relaxed; }
   static size_t LatencyBucket(std::chrono::nanoseconds latency);
