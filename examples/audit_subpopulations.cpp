@@ -83,11 +83,8 @@ int main(int argc, char** argv) {
   Result<ConfairTuneResult> tuned = TuneConfairAlpha(
       split->train, split->val, prototype, encoder.value(), {});
   if (!tuned.ok()) return 1;
-  Result<ConfairWeights> weights =
-      ComputeConfairWeights(split->train, tuned->options);
-  if (!weights.ok()) return 1;
   std::vector<int> pred_after;
-  if (!evaluate(weights->weights, &pred_after)) return 1;
+  if (!evaluate(tuned->weights.weights, &pred_after)) return 1;
 
   // Primary-group fairness, before and after.
   Result<FairnessReport> before = EvaluateFairness(

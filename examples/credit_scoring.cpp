@@ -100,27 +100,25 @@ int main(int argc, char** argv) {
   Result<ConfairTuneResult> tuned = TuneConfairAlpha(
       split->train, split->val, prototype, encoder.value(), {});
   if (tuned.ok()) {
-    Result<ConfairWeights> weights =
-        ComputeConfairWeights(split->train, tuned->options);
-    if (weights.ok()) {
-      char label[64];
-      std::snprintf(label, sizeof(label), "CONFAIR (alpha=%.2f)",
-                    tuned->alpha_u);
-      Evaluate(label, split->train, weights->weights, split->test,
-               encoder.value());
-      std::printf(
-          "  CONFAIR boosted %zu conforming minority and %zu majority "
-          "tuples (of %zu)\n",
-          weights->boosted_primary, weights->boosted_secondary,
-          split->train.size());
+    // The search returns the winner's weights; no second profile needed.
+    const ConfairWeights& weights = tuned->weights;
+    char label[64];
+    std::snprintf(label, sizeof(label), "CONFAIR (alpha=%.2f)",
+                  tuned->alpha_u);
+    Evaluate(label, split->train, weights.weights, split->test,
+             encoder.value());
+    std::printf(
+        "  CONFAIR boosted %zu conforming minority and %zu majority "
+        "tuples (of %zu)\n",
+        weights.boosted_primary, weights.boosted_secondary,
+        split->train.size());
 
-      // Export the weighted training data for downstream consumers.
-      Dataset weighted = split->train;
-      if (weighted.SetWeights(weights->weights).ok() &&
-          WriteCsv(weighted, out_path).ok()) {
-        std::printf("  reweighed training data written to %s\n",
-                    out_path.c_str());
-      }
+    // Export the weighted training data for downstream consumers.
+    Dataset weighted = split->train;
+    if (weighted.SetWeights(weights.weights).ok() &&
+        WriteCsv(weighted, out_path).ok()) {
+      std::printf("  reweighed training data written to %s\n",
+                  out_path.c_str());
     }
   }
 

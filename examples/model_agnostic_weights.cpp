@@ -68,9 +68,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tuning: %s\n", tuned.status().ToString().c_str());
     return 1;
   }
-  Result<ConfairWeights> weights =
-      ComputeConfairWeights(split->train, tuned->options);
-  if (!weights.ok()) return 1;
+  const ConfairWeights& weights = tuned->weights;  // the winner's
   std::printf("CONFAIR weights calibrated against XGB: alpha_u = %.2f "
               "(%d models trained during the search)\n\n",
               tuned->alpha_u, tuned->models_trained);
@@ -87,15 +85,15 @@ int main(int argc, char** argv) {
   // The same weights consumed by both learner families.
   GradientBoostedTrees xgb;
   Evaluate("XGB with XGB-calibrated weights", &xgb, split->train,
-           weights->weights, split->test, encoder.value());
+           weights.weights, split->test, encoder.value());
   LogisticRegression lr;
   Evaluate("LR  with XGB-calibrated weights", &lr, split->train,
-           weights->weights, split->test, encoder.value());
+           weights.weights, split->test, encoder.value());
 
   // Fallback for weight-agnostic learners: weighted resampling of the
   // training data reproduces the intervention without weight support.
   Dataset weighted_train = split->train;
-  if (!weighted_train.SetWeights(weights->weights).ok()) return 1;
+  if (!weighted_train.SetWeights(weights.weights).ok()) return 1;
   Rng resample_rng(seed + 1);
   Result<Dataset> resampled = WeightedResample(weighted_train, &resample_rng);
   if (resampled.ok()) {

@@ -167,27 +167,43 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
     }
 
     case Method::kConfair: {
-      ConfairOptions confair = spec.confair;
       if (spec.tune_confair && val.empty()) {
         return Status::FailedPrecondition(
             "Fit: CONFAIR alpha tuning needs a non-empty split.val (or set "
             "tune_confair = false to use the supplied degrees)");
       }
+      // One profile of `train` per Fit: it yields the weights and, when
+      // asked for, is the serving profile (fit_data is `train` here).
+      GroupLabelProfile profile;
       if (spec.tune_confair) {
         Result<ConfairTuneResult> tuned =
             TuneConfairAlpha(train, val, *calibration_learner, encoder.value(),
                              spec.confair, spec.confair_tune);
         if (!tuned.ok()) return tuned.status();
-        confair = tuned.value().options;
-        artifacts.tuned_alpha = tuned.value().alpha_u;
-        artifacts.models_trained += tuned.value().models_trained;
+        ConfairTuneResult& result = tuned.value();
+        artifacts.spec.confair = result.options;  // resolved degrees
+        artifacts.tuned_alpha = result.alpha_u;
+        artifacts.models_trained += result.models_trained;
+        artifacts.training_weights = std::move(result.weights.weights);
+        profile = std::move(result.profile);
       } else {
-        artifacts.tuned_alpha = confair.alpha_u;
+        artifacts.tuned_alpha = spec.confair.alpha_u;
+        Result<GroupLabelProfile> profiled =
+            GroupLabelProfile::Profile(train, spec.confair.profile);
+        if (!profiled.ok()) return profiled.status();
+        Result<ConfairBase> base =
+            PrepareConfairBase(train, profiled.value(), spec.confair);
+        if (!base.ok()) return base.status();
+        Result<ConfairWeights> weights = ApplyConfairAlphas(
+            base.value(), spec.confair.alpha_u, spec.confair.alpha_w);
+        if (!weights.ok()) return weights.status();
+        artifacts.training_weights = std::move(weights).value().weights;
+        profile = std::move(profiled).value();
       }
-      artifacts.spec.confair = confair;  // resolved degrees travel along
-      Result<ConfairWeights> weights = ComputeConfairWeights(train, confair);
-      if (!weights.ok()) return weights.status();
-      artifacts.training_weights = std::move(weights).value().weights;
+      if (spec.include_profile) {
+        artifacts.profile = std::move(profile);
+        artifacts.has_profile = true;
+      }
       break;
     }
 
@@ -268,13 +284,11 @@ Result<FittedArtifacts> Fit(const Dataset& train, const Dataset& val,
     artifacts.route = ServingRoute::kSingleModel;
   }
 
-  // Optional serving artifacts. DIFFAIR already owns its routing profile.
+  // Optional serving artifacts. DIFFAIR already owns its routing profile
+  // and CONFAIR the one its weights came from.
   if (spec.include_profile && !artifacts.has_profile) {
-    ProfileOptions profile_options = spec.method == Method::kConfair
-                                         ? spec.confair.profile
-                                         : spec.profile;
     Result<GroupLabelProfile> profile =
-        GroupLabelProfile::Profile(*fit_data, profile_options);
+        GroupLabelProfile::Profile(*fit_data, spec.profile);
     if (!profile.ok()) return profile.status();
     artifacts.profile = std::move(profile).value();
     artifacts.has_profile = true;

@@ -97,6 +97,87 @@ Result<ConfairBoostPlan> PlanBoosts(const Dataset& data,
   return plan;
 }
 
+Result<ConfairBase> PrepareConfairBase(const Dataset& train,
+                                       const GroupLabelProfile& profile,
+                                       const ConfairOptions& options) {
+  if (!train.has_labels() || !train.has_groups()) {
+    return Status::FailedPrecondition(
+        "CONFAIR: training data needs labels and groups");
+  }
+  if (profile.num_groups() != train.num_groups() ||
+      profile.num_classes() != train.num_classes()) {
+    return Status::InvalidArgument(
+        "CONFAIR: the profile's cells do not match the training data");
+  }
+
+  ConfairBase out;
+  if (options.plan_override.has_value()) {
+    out.plan = *options.plan_override;
+  } else {
+    Result<ConfairBoostPlan> plan = PlanBoosts(train, options.objective);
+    if (!plan.ok()) return plan.status();
+    out.plan = plan.value();
+  }
+
+  size_t n = train.size();
+  out.skew_weights.assign(n, 0.0);  // line 1 of the pseudo-code
+
+  // Line 5: skew balancing S += P(Y=y_t) * |G_t| / |G_t ∩ y_t|.
+  AddSkewBalancing(train, &out.skew_weights);
+  out.conforming.assign(n, 0);
+  const std::vector<int>& labels = train.labels();
+  const std::vector<int>& groups = train.groups();
+
+  // Lines 6-11 without the alphas: mark the tuples with zero violation of
+  // their cell's constraints in the objective's target cells. The
+  // violation check dominates, so it runs as a parallel scan into per-row
+  // marks; ApplyConfairAlphas then adds the boosts sequentially, which
+  // keeps the totals identical for every worker count.
+  Matrix numeric = train.NumericMatrix();
+  if (numeric.cols() == 0) return out;  // no attributes to conform to
+  const ConfairBoostPlan& plan = out.plan;
+  ParallelFor(0, n, [&](size_t i) {
+    int g = groups[i];
+    int y = labels[i];
+    bool in_primary = g == plan.primary_group && y == plan.primary_label;
+    bool in_secondary = plan.has_secondary && g == plan.secondary_group &&
+                        y == plan.secondary_label;
+    if (!in_primary && !in_secondary) return;
+
+    const std::optional<ConstraintSet>& cs = profile.cell(g, y);
+    if (!cs.has_value()) return;
+    if (cs->Violation(numeric.RowPtr(i)) > 0.0) return;  // conforming only
+    out.conforming[i] =
+        static_cast<uint8_t>((in_primary ? ConfairBase::kConformsPrimary : 0) |
+                             (in_secondary ? ConfairBase::kConformsSecondary
+                                           : 0));
+  });
+  return out;
+}
+
+Result<ConfairWeights> ApplyConfairAlphas(const ConfairBase& base,
+                                          double alpha_u, double alpha_w) {
+  if (alpha_u < 0.0 || alpha_w < 0.0) {
+    return Status::InvalidArgument("CONFAIR: alphas must be >= 0");
+  }
+  ConfairWeights out;
+  out.plan = base.plan;
+  out.weights = base.skew_weights;
+  bool boost_primary = alpha_u > 0.0;
+  bool boost_secondary = alpha_w > 0.0;
+  for (size_t i = 0; i < out.weights.size(); ++i) {
+    uint8_t c = base.conforming[i];
+    if (boost_primary && (c & ConfairBase::kConformsPrimary) != 0) {
+      out.weights[i] += alpha_u;
+      ++out.boosted_primary;
+    } else if (boost_secondary && (c & ConfairBase::kConformsSecondary) != 0) {
+      out.weights[i] += alpha_w;
+      ++out.boosted_secondary;
+    }
+  }
+  return out;
+}
+
 Result<ConfairWeights> ComputeConfairWeights(const Dataset& train,
                                              const ConfairOptions& options) {
   if (!train.has_labels() || !train.has_groups()) {
@@ -106,66 +187,14 @@ Result<ConfairWeights> ComputeConfairWeights(const Dataset& train,
   if (options.alpha_u < 0.0 || options.alpha_w < 0.0) {
     return Status::InvalidArgument("CONFAIR: alphas must be >= 0");
   }
-
-  ConfairBoostPlan plan_value;
-  if (options.plan_override.has_value()) {
-    plan_value = *options.plan_override;
-  } else {
-    Result<ConfairBoostPlan> plan = PlanBoosts(train, options.objective);
-    if (!plan.ok()) return plan.status();
-    plan_value = plan.value();
-  }
-
   // Lines 2-4: per-cell conformance constraints (with Algorithm 3 inside
   // ProfileOptions when enabled).
   Result<GroupLabelProfile> profile =
       GroupLabelProfile::Profile(train, options.profile);
   if (!profile.ok()) return profile.status();
-
-  size_t n = train.size();
-  ConfairWeights out;
-  out.plan = plan_value;
-  out.weights.assign(n, 0.0);  // line 1 of the pseudo-code
-
-  // Line 5: skew balancing S += P(Y=y_t) * |G_t| / |G_t ∩ y_t|.
-  AddSkewBalancing(train, &out.weights);
-  const std::vector<int>& labels = train.labels();
-  const std::vector<int>& groups = train.groups();
-
-  // Lines 6-11: boost tuples with zero violation of their cell's
-  // constraints, in the objective's target cells. The violation check
-  // dominates, so it runs as a parallel scan into per-row marks; weights
-  // and counters are then applied sequentially, which keeps the totals
-  // identical for every worker count.
-  Matrix numeric = train.NumericMatrix();
-  if (numeric.cols() == 0) return out;  // no attributes to conform to
-  enum : uint8_t { kNoBoost = 0, kPrimary = 1, kSecondary = 2 };
-  std::vector<uint8_t> marks(n, kNoBoost);
-  ParallelFor(0, n, [&](size_t i) {
-    int g = groups[i];
-    int y = labels[i];
-    bool is_primary = (g == out.plan.primary_group &&
-                       y == out.plan.primary_label && options.alpha_u > 0.0);
-    bool is_secondary =
-        (out.plan.has_secondary && g == out.plan.secondary_group &&
-         y == out.plan.secondary_label && options.alpha_w > 0.0);
-    if (!is_primary && !is_secondary) return;
-
-    const std::optional<ConstraintSet>& cs = profile.value().cell(g, y);
-    if (!cs.has_value()) return;
-    if (cs->Violation(numeric.RowPtr(i)) > 0.0) return;  // conforming only
-    marks[i] = is_primary ? kPrimary : kSecondary;
-  });
-  for (size_t i = 0; i < n; ++i) {
-    if (marks[i] == kPrimary) {
-      out.weights[i] += options.alpha_u;
-      ++out.boosted_primary;
-    } else if (marks[i] == kSecondary) {
-      out.weights[i] += options.alpha_w;
-      ++out.boosted_secondary;
-    }
-  }
-  return out;
+  Result<ConfairBase> base = PrepareConfairBase(train, profile.value(), options);
+  if (!base.ok()) return base.status();
+  return ApplyConfairAlphas(base.value(), options.alpha_u, options.alpha_w);
 }
 
 Result<std::vector<ConfairBoostCell>> PlanBoostsMultiGroup(const Dataset& data,

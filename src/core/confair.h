@@ -18,6 +18,7 @@
 #ifndef FAIRDRIFT_CORE_CONFAIR_H_
 #define FAIRDRIFT_CORE_CONFAIR_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -80,7 +81,41 @@ struct ConfairWeights {
   ConfairBoostPlan plan;
 };
 
-/// Runs Algorithm 2 on `train` and returns the derived weights.
+/// The alpha-independent part of Algorithm 2 on one training split: the
+/// boost plan, the skew-balanced base weights (line 5), and which tuples
+/// conform to their planned cell (lines 6-11 before any alpha). Building
+/// it once turns each intervention degree into an O(n) pass, so an alpha
+/// search profiles its split once rather than once per candidate.
+struct ConfairBase {
+  /// Bits of `conforming`.
+  static constexpr uint8_t kConformsPrimary = 1;
+  static constexpr uint8_t kConformsSecondary = 2;
+
+  ConfairBoostPlan plan;
+  /// 0.0 + the line-5 skew term, one per tuple.
+  std::vector<double> skew_weights;
+  /// Per tuple: kConformsPrimary / kConformsSecondary when the tuple lies
+  /// in that planned cell and violates none of the cell's constraints.
+  std::vector<uint8_t> conforming;
+};
+
+/// Builds the alpha-independent part from `train` and `profile`, which
+/// must be GroupLabelProfile::Profile(train, options.profile). The plan
+/// is options.plan_override, else PlanBoosts(train, options.objective);
+/// the options' alphas are not read.
+Result<ConfairBase> PrepareConfairBase(const Dataset& train,
+                                       const GroupLabelProfile& profile,
+                                       const ConfairOptions& options);
+
+/// The per-alpha part, O(n): the base weights plus alpha_u (alpha_w) on
+/// the conforming tuples of the primary (secondary) cell. A zero alpha
+/// boosts nothing; a tuple in both cells (a plan_override naming one cell
+/// twice) takes alpha_u when it is positive, else alpha_w.
+Result<ConfairWeights> ApplyConfairAlphas(const ConfairBase& base,
+                                          double alpha_u, double alpha_w);
+
+/// Runs Algorithm 2 on `train` and returns the derived weights: profiles
+/// `train`, then PrepareConfairBase and ApplyConfairAlphas.
 /// Requires binary labels and two groups.
 Result<ConfairWeights> ComputeConfairWeights(const Dataset& train,
                                              const ConfairOptions& options);

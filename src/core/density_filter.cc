@@ -63,8 +63,8 @@ Result<std::vector<size_t>> DensityFilterIndices(
   // inline loop, so cell-level parallelism wins when there are many small
   // cells and query-level parallelism wins when there are few big ones.
   // DensityRanking resolves its fit through the global KdeCache, so
-  // repeated filters over the same training split (tuning grids, repeated
-  // bench trials) reuse one fitted estimator per cell.
+  // repeated filters over the same training split (method columns,
+  // repeated bench trials) reuse one fitted estimator per cell.
   std::vector<CellOutcome> outcomes = ParallelMap<CellOutcome>(
       tasks.size(), [&](size_t t) -> CellOutcome {
         const CellTask& task = tasks[t];
@@ -77,7 +77,7 @@ Result<std::vector<size_t>> DensityFilterIndices(
         }
         // The (dataset version, cell) hint lets the fit cache skip the
         // O(nd) content rehash when the same unmutated dataset is
-        // profiled again (tuning grids, repeated trials).
+        // profiled again (method columns, repeated trials).
         Result<std::vector<size_t>> ranking = DensityRankingWithHint(
             cell_numeric, options.kde,
             KdeCacheHint{data.version(), task.cell_slot,

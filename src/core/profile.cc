@@ -1,9 +1,14 @@
 #include "core/profile.h"
 
+#include <atomic>
 #include <cmath>
 #include <limits>
 
 namespace fairdrift {
+
+namespace {
+std::atomic<uint64_t> g_profile_count{0};
+}  // namespace
 
 Result<GroupLabelProfile> GroupLabelProfile::Profile(
     const Dataset& data, const ProfileOptions& options) {
@@ -45,7 +50,12 @@ Result<GroupLabelProfile> GroupLabelProfile::Profile(
                      static_cast<size_t>(y)] = std::move(cs).value();
     }
   }
+  g_profile_count.fetch_add(1, std::memory_order_relaxed);
   return profile;
+}
+
+uint64_t GroupLabelProfile::TotalProfileCount() {
+  return g_profile_count.load(std::memory_order_relaxed);
 }
 
 Result<GroupLabelProfile> GroupLabelProfile::FromCells(

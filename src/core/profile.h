@@ -8,6 +8,7 @@
 #ifndef FAIRDRIFT_CORE_PROFILE_H_
 #define FAIRDRIFT_CORE_PROFILE_H_
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -51,6 +52,10 @@ class GroupLabelProfile {
   /// numeric attributes.
   static Result<GroupLabelProfile> Profile(const Dataset& data,
                                            const ProfileOptions& options);
+
+  /// Process-wide count of completed Profile calls. One Fit profiles its
+  /// training split at most once; the tests hold it to that.
+  static uint64_t TotalProfileCount();
 
   /// Rebuilds a profile from stored cells (deserialization;
   /// serve/snapshot_io.cc). `cells` holds num_groups * num_classes

